@@ -8,16 +8,21 @@ The Hamiltonian is
            + sum_j { E_-(t) |->_j<-| + Omega_-(t)/2 [1 + i eta (a^dag + a)] sigma+_j + h.c. }
 
 with sigma+ = |-><D|. |E> couples to nothing, so any population there only
-rotates with the phonon ladder. Everything is assembled as dense matrices;
-at the default truncation (five phonons) the state lives in 54 dimensions
-and an adaptive high-order Runge-Kutta run over the whole pulse takes well
-under a second.
+rotates with the phonon ladder. build_hamiltonian assembles H(t) densely on
+the full 9 (n_phonon_max + 1) basis, as the reference. The integrator keeps
+only the components the Rabi coupling links to the initial state: with
+nph = n_phonon_max + 1, 4 nph of them from |DD,0> and 2 nph from |DE,0>
+(4 and 2 at eta = 0). The two sets are disjoint, so entangling_phase_dynamic integrates both gate
+runs in one adaptive high-order Runge-Kutta solve, with the sin^2 pulse
+evaluated inline.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from .errors import DomainError, ToleranceFailure, ValidationError
 from .gate import PulseShape, pulse_at, wrap_angle
@@ -80,6 +85,7 @@ class EvolutionTrace:
     p_init: np.ndarray
     norms: np.ndarray
     n_phonon_max: int
+    nfev: int = 0  # RHS evaluations of the solve, summed over segments
 
 
 def basis_index(e1: int, e2: int, n: int, n_phonon_max: int) -> int:
@@ -123,20 +129,107 @@ def _operators(cfg: SimConfig):
     return h0, h_det.astype(complex), h_rabi
 
 
-def _default_drive(cfg: SimConfig):
-    def drive(t):
-        return pulse_at(t, cfg.pulse)
-
-    return drive
-
-
 def build_hamiltonian(t: float, cfg: SimConfig, drive=None) -> np.ndarray:
     """Hermitian H(t) on the flat basis (exact Hermiticity by construction)."""
-    if drive is None:
-        drive = _default_drive(cfg)
     h0, h_det, h_rabi = _operators(cfg)
-    omega_minus, e_minus = drive(t)
+    omega_minus, e_minus = pulse_at(t, cfg.pulse) if drive is None else drive(t)
     return h0 + e_minus * h_det + omega_minus * h_rabi
+
+
+def _reachable(psi0: np.ndarray, coupled: np.ndarray) -> np.ndarray:
+    """Flat indices connected to the support of psi0 by the coupling pattern."""
+    reach = psi0 != 0
+    while True:
+        grown = reach | (coupled @ reach)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
+def _propagate(cfg: SimConfig, initial, drive=None):
+    """Integrate i dpsi/dt = H(t) psi for each initial state in one solve.
+
+    Each state keeps only the components its support reaches under the
+    pattern of H; the others stay exactly zero. The reduced blocks are
+    stacked block-diagonally and integrated together. The default sin^2
+    pulse is evaluated inline; a custom drive(t) -> (Omega_-, E_-) with a
+    `breakpoints` attribute is integrated segment by segment. Returns the
+    output times, the full-basis states (n_output, dim) of each initial
+    state, and the number of RHS evaluations.
+    """
+    h0, h_det, h_rabi = _operators(cfg)
+    parts = [_reachable(psi, h_rabi != 0) for psi in initial]  # H0, H_det are diagonal
+    idx = np.concatenate(parts)
+    # -i H0, -i H_det (both diagonal, kept as vectors) and -i H_rabi on the
+    # reached components
+    d0 = -1j * np.diag(h0)[idx]
+    d_det = -1j * np.diag(h_det)[idx]
+    r = -1j * block_diag(*(h_rabi[np.ix_(p, p)] for p in parts))
+    y = np.concatenate([psi[p] for psi, p in zip(initial, parts)])
+    # solve_ivp's error norm is an RMS over components; rescaling the
+    # tolerances by sqrt(full / reduced) keeps the step control of a
+    # full-basis solve, in which the unreached components weigh in as zeros
+    scale = np.sqrt(len(initial) * cfg.dim / idx.size)
+
+    tau = cfg.pulse.tau
+    if drive is None:
+        omega0, delta0 = cfg.pulse.omega0, cfg.pulse.delta0
+
+        def drive(t):  # pulse_at without its domain check: the solve stays in [0, tau]
+            phase = math.pi * t / tau
+            return omega0 * math.sin(phase) ** 2, delta0 * (0.5 + math.cos(phase) ** 2)
+
+    times = np.linspace(0.0, tau, cfg.n_output)
+    breaks = sorted({float(t) for t in getattr(drive, "breakpoints", ()) if 0.0 < t < tau})
+    edges = [0.0] + breaks + [tau]
+    out = np.empty((cfg.n_output, idx.size), dtype=complex)
+    out[0] = y
+    nfev = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # keep Runge-Kutta stage evaluations strictly inside the segment, so
+        # right-continuous piecewise drives are integrated exactly
+        hi_safe = np.nextafter(hi, lo) if breaks else hi
+
+        def rhs(t, y, _lo=lo, _hi=hi_safe):
+            omega_minus, e_minus = drive(min(max(t, _lo), _hi))
+            return (d0 + e_minus * d_det) * y + omega_minus * (r @ y)
+
+        rows = np.flatnonzero((times > lo) & (times <= hi))
+        t_eval = times[rows]
+        if not rows.size or t_eval[-1] != hi:
+            t_eval = np.append(t_eval, hi)
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=cfg.rtol * scale,
+                        atol=cfg.atol * scale, t_eval=t_eval)
+        if not sol.success:
+            raise ToleranceFailure(f"integrator failed on [{lo}, {hi}]: {sol.message}")
+        out[rows] = sol.y[:, :rows.size].T
+        y = sol.y[:, -1]
+        nfev += sol.nfev
+
+    states, offset = [], 0
+    for p in parts:
+        full = np.zeros((cfg.n_output, cfg.dim), dtype=complex)
+        full[:, p] = out[:, offset:offset + p.size]
+        states.append(full)
+        offset += p.size
+    return times, states, nfev
+
+
+def _trace(cfg: SimConfig, times, states, psi0, nfev) -> EvolutionTrace:
+    nph = cfg.n_phonon_max + 1
+    blocks = states.reshape(cfg.n_output, N_ELEC, N_ELEC, nph)
+    pops = np.sum(np.abs(blocks) ** 2, axis=3)
+    return EvolutionTrace(
+        times=times,
+        states=states,
+        p_dd=pops[:, IDX_D, IDX_D],
+        p_dm=pops[:, IDX_D, IDX_M] + pops[:, IDX_M, IDX_D],
+        p_mm=pops[:, IDX_M, IDX_M],
+        p_init=np.abs(states @ psi0.conj()) ** 2,
+        norms=np.linalg.norm(states, axis=1),
+        n_phonon_max=cfg.n_phonon_max,
+        nfev=nfev,
+    )
 
 
 def evolve(cfg: SimConfig, psi0: np.ndarray = None, drive=None) -> EvolutionTrace:
@@ -154,59 +247,8 @@ def evolve(cfg: SimConfig, psi0: np.ndarray = None, drive=None) -> EvolutionTrac
         raise DomainError(f"psi0 must have shape ({cfg.dim},)")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise DomainError("psi0 must be normalized")
-    if drive is None:
-        drive = _default_drive(cfg)
-
-    h0, h_det, h_rabi = _operators(cfg)
-
-    def make_rhs(segment_drive):
-        def rhs(t, y):
-            omega_minus, e_minus = segment_drive(t)
-            return -1j * (h0 @ y + e_minus * (h_det @ y) + omega_minus * (h_rabi @ y))
-
-        return rhs
-
-    tau = cfg.pulse.tau
-    times = np.linspace(0.0, tau, cfg.n_output)
-    breaks = sorted({float(t) for t in getattr(drive, "breakpoints", ()) if 0.0 < t < tau})
-    edges = [0.0] + breaks + [tau]
-
-    states = np.empty((cfg.n_output, cfg.dim), dtype=complex)
-    states[0] = psi0
-    y = psi0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if breaks:
-            # keep Runge-Kutta stage evaluations strictly inside the segment,
-            # so right-continuous piecewise drives are integrated exactly
-            hi_safe = np.nextafter(hi, lo)
-            seg = (lambda t, _lo=lo, _hi=hi_safe: drive(min(max(t, _lo), _hi)))
-        else:
-            seg = drive
-        inside = times[(times > lo) & (times <= hi)]
-        t_eval = np.unique(np.concatenate([inside, [hi]]))
-        sol = solve_ivp(make_rhs(seg), (lo, hi), y, method="DOP853",
-                        rtol=cfg.rtol, atol=cfg.atol, t_eval=t_eval)
-        if not sol.success:
-            raise ToleranceFailure(f"integrator failed on [{lo}, {hi}]: {sol.message}")
-        for t_val, col in zip(sol.t, sol.y.T):
-            hits = np.nonzero(np.isclose(times, t_val, rtol=0.0, atol=1e-12 * max(tau, 1.0)))[0]
-            for i in hits:
-                states[i] = col
-        y = sol.y[:, -1]
-
-    nph = cfg.n_phonon_max + 1
-    blocks = states.reshape(cfg.n_output, N_ELEC, N_ELEC, nph)
-    pops = np.sum(np.abs(blocks) ** 2, axis=3)
-    return EvolutionTrace(
-        times=times,
-        states=states,
-        p_dd=pops[:, IDX_D, IDX_D],
-        p_dm=pops[:, IDX_D, IDX_M] + pops[:, IDX_M, IDX_D],
-        p_mm=pops[:, IDX_M, IDX_M],
-        p_init=np.abs(states @ psi0.conj()) ** 2,
-        norms=np.linalg.norm(states, axis=1),
-        n_phonon_max=cfg.n_phonon_max,
-    )
+    times, (states,), nfev = _propagate(cfg, [psi0], drive)
+    return _trace(cfg, times, states, psi0, nfev)
 
 
 def loss_probability(trace: EvolutionTrace, tau0: float) -> float:
@@ -233,16 +275,20 @@ def phonon_excitation(trace: EvolutionTrace):
 
 
 def entangling_phase_dynamic(cfg: SimConfig) -> dict:
-    """Gate phases extracted from full evolutions of |DD,0> and |DE,0>.
+    """Gate phases extracted from the evolutions of |DD,0> and |DE,0>.
 
     The |EE,0> reference amplitude is stationary with zero phase. The
     returned phases follow the design convention phi = +integral E dt of
     rydgate.gate, so each is minus the argument of its final amplitude
     (an adiabatic amplitude evolves as exp(-i integral E dt));
-    phi_ent_dynamic = phi_dd - 2 phi_de wrapped to (-pi, pi].
+    phi_ent_dynamic = phi_dd - 2 phi_de wrapped to (-pi, pi]. Both states
+    are integrated in one solve, so both traces report its nfev.
     """
-    trace_dd = evolve(cfg, initial_state(cfg, "DD", 0))
-    trace_de = evolve(cfg, initial_state(cfg, "DE", 0))
+    psi_dd = initial_state(cfg, "DD", 0)
+    psi_de = initial_state(cfg, "DE", 0)
+    times, (states_dd, states_de), nfev = _propagate(cfg, [psi_dd, psi_de])
+    trace_dd = _trace(cfg, times, states_dd, psi_dd, nfev)
+    trace_de = _trace(cfg, times, states_de, psi_de, nfev)
     i_dd = basis_index(IDX_D, IDX_D, 0, cfg.n_phonon_max)
     i_de = basis_index(IDX_D, IDX_E, 0, cfg.n_phonon_max)
     phi_dd = -float(np.angle(trace_dd.states[-1, i_dd]))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationWarning
+from .errors import DomainError, ToleranceFailure, TruncationWarning
 from .modes import PhononBasis
 
 ALIGNMENT_TOL = 1e-8
@@ -138,8 +138,9 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10,
 
     Both bases must describe the same axis and geometry. When the mode
     vectors agree the matrix is an exact tensor product of 1D overlaps;
-    otherwise it is computed by rotated-coordinate Gauss-Hermite quadrature.
-    Emits TruncationWarning when any bra row norm drops below 1 - 1e-4.
+    otherwise it is computed by rotated-coordinate Gauss-Hermite quadrature,
+    raising ToleranceFailure if the order grows past 128 (n_max + 1) without
+    converging. Emits TruncationWarning when any bra row norm drops below 1 - 1e-4.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
@@ -155,9 +156,12 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10,
         entries = _quadrature_fc(ground, excited, n_max, q)
         while True:
             refined = _quadrature_fc(ground, excited, n_max, 2 * q)
-            if np.max(np.abs(refined - entries)) <= 1e-9 or q > 64 * (n_max + 1):
+            if np.max(np.abs(refined - entries)) <= 1e-9:
                 entries = refined
                 break
+            if q > 64 * (n_max + 1):
+                raise ToleranceFailure(
+                    f"rotated FC quadrature unconverged at order {2 * q}")
             entries, q = refined, 2 * q
     result = FCMatrix(n_max=n_max, entries=entries)
     worst = result.row_norms().min()

@@ -133,6 +133,15 @@ def adiabatic_energies(omega_minus, e_minus, blockade):
     return _light_shift_dd(om, e, blockade), _light_shift_de(om, e)
 
 
+def _blockade_denominator(e, blockade):
+    """4 E_- + 2 B of the closed form; SingularDenominator where it vanishes."""
+    denom = 4.0 * e + 2.0 * blockade
+    scale = np.maximum(np.abs(4.0 * e) + np.abs(2.0 * blockade), 1.0)
+    if np.any(np.abs(denom) <= 1e-12 * scale):
+        raise SingularDenominator("4 E_- + 2 B vanished in the blockade light shift")
+    return denom
+
+
 def adiabatic_energies_closed_form(omega_minus, e_minus, blockade):
     """The paper's closed-form light shifts (E_DD, E_DE), kept as a reference.
 
@@ -143,11 +152,7 @@ def adiabatic_energies_closed_form(omega_minus, e_minus, blockade):
     """
     om = np.abs(np.asarray(omega_minus, dtype=float))
     e = np.asarray(e_minus, dtype=float)
-    denom = 4.0 * e + 2.0 * blockade
-    scale = np.maximum(np.abs(4.0 * e) + np.abs(2.0 * blockade), 1.0)
-    if np.any(np.abs(denom) <= 1e-12 * scale):
-        raise SingularDenominator("4 E_- + 2 B vanished in the blockade light shift")
-    delta_eff = e - om**2 / denom
+    delta_eff = e - om**2 / _blockade_denominator(e, blockade)
     e_dd = 0.5 * (delta_eff - np.sqrt(delta_eff**2 + 2.0 * om**2))
     return e_dd, _light_shift_de(om, e)
 
@@ -250,12 +255,13 @@ def adiabaticity_ratio(p: PulseShape, blockade: float, n_points: int = 401) -> f
 
     Gap is the smaller of the two instantaneous avoided-crossing gaps, slew
     the larger of |dOmega/dt| and |dE/dt|. Reported as a diagnostic; the
-    design is considered adiabatic when the ratio is well above ~3.
+    design is considered adiabatic when the ratio is well above ~3. The
+    doubly-driven gap uses the closed form's delta0_eff, so the ratio raises
+    SingularDenominator where 4 E_- + 2 B vanishes on the grid.
     """
     times = np.linspace(0.0, p.tau, n_points)
     om, e = pulse_at(times, p)
-    denom = 4.0 * e + 2.0 * blockade
-    delta_eff = e - om**2 / denom
+    delta_eff = e - om**2 / _blockade_denominator(e, blockade)
     gap_dd = np.sqrt(delta_eff**2 + 2.0 * om**2)
     gap_de = np.sqrt(e**2 + om**2)
     min_gap = min(gap_dd.min(), gap_de.min())

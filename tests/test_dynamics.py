@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from rydgate import (
@@ -65,6 +66,34 @@ def brute_force_hamiltonian(t, cfg):
                         bra_dn = basis_index(new[0], new[1], n - 1, cfg.n_phonon_max)
                         raising[bra_dn, ket] += omega_minus / 2 * 1j * cfg.eta * np.sqrt(n)
     return diag + raising + raising.conj().T
+
+
+def full_basis_evolution(cfg, psi0):
+    """Reference solve: DOP853 on the whole basis with H(t) from build_hamiltonian."""
+    from rydgate.gate import pulse_at
+
+    h0 = build_hamiltonian(0.0, cfg, drive=lambda t: (0.0, 0.0))
+    h_det = build_hamiltonian(0.0, cfg, drive=lambda t: (0.0, 1.0)) - h0
+    h_rabi = build_hamiltonian(0.0, cfg, drive=lambda t: (1.0, 0.0)) - h0
+
+    def rhs(t, y):
+        omega_minus, e_minus = pulse_at(t, cfg.pulse)
+        return -1j * ((h0 + e_minus * h_det + omega_minus * h_rabi) @ y)
+
+    times = np.linspace(0.0, cfg.pulse.tau, cfg.n_output)
+    sol = solve_ivp(rhs, (0.0, cfg.pulse.tau), psi0, method="DOP853",
+                    rtol=cfg.rtol, atol=cfg.atol, t_eval=times)
+    return sol.y.T
+
+
+def spectator_state(cfg):
+    """sqrt(0.3)|EE,0> + sqrt(0.2)|EE,2> + sqrt(0.5)|DD,0>, as in the spectator test."""
+    nmax = cfg.n_phonon_max
+    psi0 = np.zeros(cfg.dim, complex)
+    psi0[basis_index(0, 0, 0, nmax)] = np.sqrt(0.3)
+    psi0[basis_index(0, 0, 2, nmax)] = np.sqrt(0.2)
+    psi0[basis_index(1, 1, 0, nmax)] = np.sqrt(0.5)
+    return psi0
 
 
 class TestHamiltonian:
@@ -181,6 +210,54 @@ class TestEvolve:
             reference_config(rtol=1e-2)
         with pytest.raises(ValidationError):
             reference_config(atol=0.0)
+
+
+class TestReducedKernel:
+    TIGHT = dict(rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("label, n_phonon_max", [("DD", 2), ("DE", 2), ("mix", 3)])
+    def test_matches_full_basis_solve(self, label, n_phonon_max):
+        cfg = reference_config(n_phonon_max=n_phonon_max, **self.TIGHT)
+        psi0 = spectator_state(cfg) if label == "mix" else initial_state(cfg, label, 0)
+        trace = evolve(cfg, psi0)
+        # bound at the integrators' accuracy: a reduced solve without the
+        # tolerance rescaling is 4e-10 off on the mixed state; with the same
+        # step control as the full-basis solve they agree to 1e-14
+        assert np.max(np.abs(trace.states - full_basis_evolution(cfg, psi0))) < 1e-9
+
+    def test_fused_traces_equal_separate_evolutions(self):
+        cfg = reference_config(n_phonon_max=2, **self.TIGHT)
+        dyn = entangling_phase_dynamic(cfg)
+        for label, key in (("DD", "trace_dd"), ("DE", "trace_de")):
+            alone = evolve(cfg, initial_state(cfg, label, 0))
+            fused = dyn[key]
+            assert np.array_equal(fused.times, alone.times)
+            assert np.max(np.abs(fused.states - alone.states)) < 1e-9
+            for name in ("p_dd", "p_dm", "p_mm", "p_init", "norms"):
+                assert np.max(np.abs(getattr(fused, name) - getattr(alone, name))) < 1e-10
+            i0 = basis_index(1, 1 if label == "DD" else 0, 0, 2)
+            phi_alone = -np.angle(alone.states[-1, i0])
+            phi_fused = dyn["phi_dd_dynamic" if label == "DD" else "phi_de_dynamic"]
+            assert abs(wrap_angle(phi_fused - phi_alone)) < 1e-10
+            assert alone.nfev > 0
+        # both traces come from one solve and report its RHS evaluations
+        assert dyn["trace_dd"].nfev == dyn["trace_de"].nfev > 0
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_unreached_components_exactly_zero(self, eta):
+        cfg = reference_config(eta=eta, n_phonon_max=3)
+        dyn = entangling_phase_dynamic(cfg)
+        n_t = cfg.n_output
+        dd = dyn["trace_dd"].states.reshape(n_t, 3, 3, 4)
+        de = dyn["trace_de"].states.reshape(n_t, 3, 3, 4)
+        # |E> is inert: the DD run never touches it, the DE run keeps ion 2 there
+        assert not dd[:, 0].any() and not dd[:, :, 0].any()
+        assert not de[:, 0].any() and not de[:, :, 1:].any()
+        assert dd[:, 1:, 1:].any() and de[:, 1:, 0].any()
+        if eta == 0.0:
+            assert not dd[..., 1:].any() and not de[..., 1:].any()
+        else:
+            assert dd[:, 1, 1, 1:].any()
 
 
 class TestMatrixExponentialOracle:

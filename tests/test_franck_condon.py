@@ -14,7 +14,8 @@ from rydgate import (
     fc_overlap_1d,
     from_secular,
 )
-from rydgate.errors import DomainError, TruncationWarning
+from rydgate import franck_condon
+from rydgate.errors import DomainError, ToleranceFailure, TruncationWarning
 
 TWO_PI = 2 * np.pi
 CA40 = 39.962590866 * 1.66053906660e-27
@@ -184,3 +185,18 @@ class TestMatrix:
             warnings.simplefilter("ignore", TruncationWarning)
             fc = fc_matrix(ground, bases((-2.0e9, 0.0)), n_max=8)
         assert np.all(fc.row_norms() <= 1.0 + 1e-12)
+
+    def test_unconverged_quadrature_raises(self, bases, monkeypatch):
+        # entries that move by the order itself never settle under doubling;
+        # the loop must stop at its order cap and raise, not return them
+        orders = []
+
+        def never_converges(ground, excited, n_max, order):
+            orders.append(order)
+            return np.full(((n_max + 1) ** 2,) * 2, float(order))
+
+        monkeypatch.setattr(franck_condon, "_quadrature_fc", never_converges)
+        ground = bases((0.0, 0.0))
+        with pytest.raises(ToleranceFailure):
+            fc_matrix(ground, bases((-1e5, 0.0)), n_max=2)
+        assert orders[-1] > 128 * 3 and orders[-2] > 64 * 3

@@ -226,6 +226,12 @@ class TestDiagnostics:
     def test_reference_pulse_is_adiabatic(self):
         assert adiabaticity_ratio(reference_pulse(), REF_BLOCKADE) > 3.0
 
+    def test_adiabaticity_ratio_singular_denominator(self):
+        # at delta0 = 0, B = 0 the closed-form gap's 4 E_- + 2 B vanishes
+        # all along the pulse
+        with pytest.raises(SingularDenominator):
+            adiabaticity_ratio(PulseShape(TWO_PI * 0.5, 0.0, 60.0), 0.0)
+
     def test_phase_trace_matches_quadrature_endpoint(self):
         p = reference_pulse()
         design = entangling_phase(p, REF_BLOCKADE)
