@@ -105,7 +105,6 @@ class SimulationSection:
 @dataclass(frozen=True)
 class OutputSection:
     path: str = ""          # empty -> stdout
-    format: str = "csv"     # csv | json
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ _SECTIONS = {
 }
 
 _INT_KEYS = {"points", "n_phonon_max", "n_output"}
-_STR_KEYS = {"path", "format"}
+_STR_KEYS = {"path"}
 
 # key -> (predicate, requirement text); violations raise ValidationError
 _RANGES = {
@@ -161,12 +160,11 @@ _RANGES = {
     "n_phonon_max": (lambda v: v >= 1, "must be >= 1"),
     "rtol": (lambda v: 0 < v <= 1e-3, "must lie in (0, 1e-3]"),
     "atol": (lambda v: 0 < v <= 1e-3, "must lie in (0, 1e-3]"),
-    "n_output": (lambda v: v >= 200, "must be >= 200"),
+    "n_output": (lambda v: v >= 2, "must be >= 2"),
     "tau0_us": (lambda v: v > 0, "must be > 0"),
     "r_min_um": (lambda v: v > 0, "must be > 0"),
     "r_max_um": (lambda v: v > 0, "must be > 0"),
     "points": (lambda v: v >= 2, "must be >= 2"),
-    "format": (lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from rydgate.cli import main
 from rydgate.config import RunConfig, load_config
+from rydgate.dynamics import SimConfig
 from rydgate.errors import ParseError, ValidationError
 from rydgate.gate import wrap_angle
 
@@ -81,6 +82,25 @@ class TestLoadConfig:
         path.write_text("tau_us = 60\n")  # key outside any section
         with pytest.raises(ParseError):
             load_config(path)
+
+    def test_output_format_key_is_gone(self, tmp_path):
+        # nothing read it; each subcommand's output type is fixed
+        path = tmp_path / "bad.cfg"
+        path.write_text("[output]\nformat = csv\n")
+        with pytest.raises(ValidationError, match="format"):
+            load_config(path)
+
+    def test_n_output_rule_agrees_with_sim_config(self, tmp_path):
+        path = tmp_path / "t.cfg"
+        path.write_text("[simulation]\nn_output = 2\n")
+        cfg = load_config(path)
+        assert cfg.simulation.n_output == 2
+        assert cfg.sim_config().n_output == 2
+        path.write_text("[simulation]\nn_output = 1\n")
+        with pytest.raises(ValidationError, match="n_output"):
+            load_config(path)
+        with pytest.raises(ValidationError, match="n_output"):
+            SimConfig(**{**vars(cfg.sim_config()), "n_output": 1})
 
     def test_omega_z_override_rederives_beta(self, tmp_path):
         path = tmp_path / "t.cfg"

@@ -15,7 +15,9 @@ from rydgate import (
     pulse_at,
     wrap_angle,
 )
-from rydgate.errors import DomainError, NoRoot, SingularDenominator, ValidationError
+from rydgate import gate
+from rydgate.errors import (DomainError, NoRoot, SingularDenominator, ToleranceFailure,
+                            ValidationError)
 
 TWO_PI = 2 * np.pi
 
@@ -117,6 +119,16 @@ class TestAdiabaticEnergies:
         assert np.all(np.abs(e_dd0 - 2 * e_de0)
                       <= 1e-11 * np.abs(e_dd0) + 1e-15 * (np.abs(e) + om))
 
+    def test_singly_driven_shift_without_cancellation(self):
+        # Omega << E_-: the textbook form [E - sqrt(E^2 + Omega^2)] / 2 rounds
+        # to 0 here; the true value is -Omega^2 / (4 E) to O(Omega^2 / E^2)
+        om, e = 7.3e-9, 139.0
+        _, e_de = adiabatic_energies(om, e, REF_BLOCKADE)
+        assert e_de == pytest.approx(-om**2 / (4 * e), rel=1e-12, abs=0.0)
+        # E_- < 0 branch: [E - sqrt(E^2 + Omega^2)] / 2 has no cancellation there
+        _, e_de = adiabatic_energies(1.0, -1.0, REF_BLOCKADE)
+        assert e_de == pytest.approx(-0.5 * (1 + np.sqrt(2.0)), rel=1e-15, abs=0.0)
+
     def test_closed_form_converges_in_weak_drive(self):
         # the closed form evaluates the |--> energy denominator at the bare
         # |DD> energy instead of at E_DD, so its relative error shrinks as
@@ -173,6 +185,65 @@ class TestEntanglingPhase:
         assert u[1, 1] == u[2, 2]
         assert u[3, 3] == pytest.approx(
             np.exp(1j * (design.phi_ent + 2 * design.phi_de)), abs=1e-14)
+
+
+class TestPhasePrimitive:
+    """The periodic trapezoid rule behind every design phase, against quad."""
+
+    @staticmethod
+    def quad_phases(p, blockade, t_end=None):
+        def shift(i):
+            return lambda t: adiabatic_energies(*pulse_at(t, p), blockade)[i]
+        t_end = p.tau if t_end is None else t_end
+        return [quad(shift(i), 0.0, t_end, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+                for i in (0, 1)]
+
+    @pytest.mark.parametrize("b_mhz", [0.0, 2.5, 10.0])
+    def test_phases_match_tight_quadrature(self, b_mhz):
+        # the default optimizer bracket [1e-3, 50] omega0 and the wider
+        # [5e-4, 100] omega0 of test_bracket_robustness
+        omega0 = TWO_PI * 0.5
+        for ratio in np.geomspace(5e-4, 100.0, 9):
+            p = PulseShape(omega0, ratio * omega0, 60.0)
+            design = entangling_phase(p, TWO_PI * b_mhz)
+            phi_dd, phi_de = self.quad_phases(p, TWO_PI * b_mhz)
+            assert design.phi_dd == pytest.approx(phi_dd, rel=1e-12, abs=0.0)
+            assert design.phi_de == pytest.approx(phi_de, rel=1e-12, abs=0.0)
+
+    def test_vectorized_scan_equals_scalar_calls(self):
+        omega0 = TWO_PI * 0.5
+        grid = np.geomspace(1e-3 * omega0, 50 * omega0, 40)
+        scan, _ = gate._accumulated_phases(omega0, grid, 60.0, REF_BLOCKADE,
+                                           gate.QUAD_ABS_TOL)
+        for column, delta0 in zip(scan.T, grid):
+            design = entangling_phase(PulseShape(omega0, delta0, 60.0), REF_BLOCKADE)
+            assert abs(column[0] - design.phi_dd) <= 1e-15 * abs(design.phi_dd)
+            assert abs(column[1] - design.phi_de) <= 1e-15 * abs(design.phi_de)
+
+    @pytest.mark.parametrize("ratio", [1.2955, 0.01])
+    def test_trace_is_the_antiderivative(self, ratio):
+        p = PulseShape(TWO_PI * 0.5, ratio * TWO_PI * 0.5, 60.0)
+        design = entangling_phase(p, REF_BLOCKADE)
+        times, phi_dd, phi_de, phi_ent = phase_trace(p, REF_BLOCKADE, n_points=13)
+        assert (phi_dd[0], phi_de[0]) == (0.0, 0.0)
+        assert (phi_dd[-1], phi_de[-1], phi_ent[-1]) == (
+            design.phi_dd, design.phi_de, design.phi_ent)
+        for i in (1, 3, 6, 10, 11):
+            direct = self.quad_phases(p, REF_BLOCKADE, t_end=times[i])
+            assert abs(phi_dd[i] - direct[0]) <= 1e-10
+            assert abs(phi_de[i] - direct[1]) <= 1e-10
+
+    def test_node_cap_raises(self, monkeypatch):
+        # delta0 = 1e-3 omega0 needs 512 nodes; a cap of 64 must not return
+        # the unconverged sums
+        monkeypatch.setattr(gate, "MAX_NODES", 64)
+        p = PulseShape(TWO_PI * 0.5, 1e-3 * TWO_PI * 0.5, 60.0)
+        with pytest.raises(ToleranceFailure):
+            entangling_phase(p, REF_BLOCKADE)
+        with pytest.raises(ToleranceFailure):
+            phase_trace(p, REF_BLOCKADE)
+        # the reference design converges on 64 nodes
+        entangling_phase(reference_pulse(), REF_BLOCKADE)
 
 
 class TestGateUnitary:
