@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
 """Full gate dynamics with the CM phonon mode.
 
-Evolves |DD> x |0> through the pulse, writes the traced populations to CSV
-and prints the dynamic entangling phase, its gap to the adiabatic design,
+Evolves |DD> x |0> through the pulse with `rydgate evolve`, which writes the
+traced populations to CSV and a `.summary.json` beside it, and prints the
+dynamic entangling phase, its gap to the adiabatic design (`rydgate gate`),
 and the spontaneous-loss estimate.
 """
 
 import argparse
-import csv
-
-import numpy as np
+import json
+import os
+import tempfile
 
 import rydgate as rg
-from rydgate.constants import mhz
+from rydgate import cli
+
+
+def _run(argv):
+    status = cli.main(argv)
+    if status:
+        raise SystemExit(status)
 
 
 def main():
@@ -25,34 +32,29 @@ def main():
     ap.add_argument("--out", default="gate_dynamics.csv")
     args = ap.parse_args()
 
-    cfg = rg.SimConfig(
-        blockade=mhz(args.blockade_mhz),
-        omega_z=mhz(args.omega_z_mhz),
-        eta=args.eta,
-        pulse=rg.PulseShape(mhz(0.5), mhz(0.639), 60.0),
-        n_phonon_max=args.n_phonon_max,
-    )
-    phases = rg.entangling_phase_dynamic(cfg)
-    trace = phases["trace_dd"]
-    mean_n, deviation = rg.phonon_excitation(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "gate_dynamics.cfg")
+        design_path = os.path.join(tmp, "design.json")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(f"[trap]\nomega_z_mhz_override = {args.omega_z_mhz!r}\n"
+                         f"eta_override = {args.eta!r}\n"
+                         f"[simulation]\nblockade_mhz = {args.blockade_mhz!r}\n"
+                         f"n_phonon_max = {args.n_phonon_max}\n"
+                         f"tau0_us = {args.tau0_us!r}\n")
+        _run(["evolve", "--config", config, "--output", args.out])
+        _run(["gate", "--config", config, "--output", design_path])
+        with open(design_path, encoding="utf-8") as handle:
+            design = json.load(handle)
+    with open(args.out + ".summary.json", encoding="utf-8") as handle:
+        summary = json.load(handle)
 
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t_us", "p_DD", "p_Dm", "p_mm", "p_init",
-                         "mean_phonon", "norm"])
-        writer.writerows(np.column_stack(
-            [trace.times, trace.p_dd, trace.p_dm, trace.p_mm, trace.p_init,
-             mean_n, trace.norms]).tolist())
-
-    design = rg.entangling_phase(cfg.pulse, cfg.blockade)
-    gap = rg.wrap_angle(phases["phi_ent_dynamic"] - design.phi_ent)
-    print(f"wrote {args.out}")
-    print(f"phi_ent (dynamic)   = {phases['phi_ent_dynamic']:.5f} rad")
-    print(f"phi_ent (design)    = {design.phi_ent:.5f} rad  (gap {gap:+.4f})")
-    print(f"max p_mm            = {np.max(trace.p_mm):.5f}")
-    print(f"phonon deviation    = {deviation:.5f}")
-    print(f"P_loss (tau0 = {args.tau0_us} us) = "
-          f"{rg.loss_probability(trace, args.tau0_us):.4f}")
+    gap = rg.wrap_angle(summary["phi_ent_dynamic"] - design["phi_ent"])
+    print(f"wrote {args.out} and {args.out}.summary.json")
+    print(f"phi_ent (dynamic)   = {summary['phi_ent_dynamic']:.5f} rad")
+    print(f"phi_ent (design)    = {design['phi_ent']:.5f} rad  (gap {gap:+.4f})")
+    print(f"max p_mm            = {summary['max_p_mm']:.5f}")
+    print(f"phonon deviation    = {summary['max_phonon_deviation']:.5f}")
+    print(f"P_loss (tau0 = {summary['tau0_us']} us) = {summary['P_loss']:.4f}")
 
 
 if __name__ == "__main__":

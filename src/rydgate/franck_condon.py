@@ -10,14 +10,20 @@ Two code paths:
       K[m+1, n] = ( sqrt(n) * sech * K[m, n-1] + t * sqrt(m) * K[m-1, n] ) / sqrt(m+1)
 
   with t = (nu - omega)/(nu + omega), sech = 2 sqrt(nu omega)/(nu + omega)
-  and K[0, 0] = sqrt(sech). Entries with odd m+n vanish identically.
+  and K[0, 0] = sqrt(sech). Entries with odd m+n vanish identically. Row 0
+  follows from the first relation, every further row from the second, one
+  whole row at a time.
 
 * rotated mode vectors -- a genuine 2D integral over the shared mass-scaled
   coordinates, with the bra modes living on rotated coordinates (rotation
   S = B^T A between the two eigenvector matrices). The combined Gaussian of
-  bra and ket is diagonalized once, after which tensor Gauss-Hermite
-  quadrature is exact for the remaining polynomial part; the order is grown
-  until doubling it moves no entry by more than 1e-9.
+  bra and ket is diagonalized once; what remains is a polynomial of degree
+  <= 4 n_max along each principal axis, so tensor Gauss-Hermite quadrature
+  of order q >= 2 n_max + 1 is exact. The matrix is contracted as a sum of
+  GEMMs over blocks of NODE_BLOCK grid nodes, (bra functions) x (weighted ket
+  functions)^T, evaluating coordinates and Hermite functions block by block.
+  The order starts at 2 n_max + 4 and is doubled until doubling it moves no
+  entry by more than 1e-9, which verifies the exact start order.
 
 All eigenfunctions are taken real with positive leading coefficient, so
 every overlap is real.
@@ -33,6 +39,7 @@ from .modes import PhononBasis
 
 ALIGNMENT_TOL = 1e-8
 ROW_NORM_DEFECT_TOL = 1e-4
+NODE_BLOCK = 256          # quadrature nodes per GEMM block of the rotated path
 
 
 @dataclass(frozen=True)
@@ -63,17 +70,15 @@ def _overlap_table(nu: float, omega: float, n_max: int) -> np.ndarray:
     """Table of <m_nu|n_omega> for m, n = 0..n_max (same-center oscillators)."""
     t = (nu - omega) / (nu + omega)
     sech = 2.0 * np.sqrt(nu * omega) / (nu + omega)
-    k = np.zeros((n_max + 1, n_max + 1))
-    k[0, 0] = np.sqrt(sech)
-    for n in range(n_max):
-        prev = k[0, n - 1] if n >= 1 else 0.0
-        k[0, n + 1] = -t * np.sqrt(n) * prev / np.sqrt(n + 1)
+    root = np.sqrt(np.arange(n_max + 1))
+    k = np.zeros((n_max + 2, n_max + 2))  # zero row/column 0 closes both recursions
+    k[1, 1] = np.sqrt(sech)
+    for n in range(1, n_max, 2):
+        k[1, n + 2] = -t * root[n] * k[1, n] / root[n + 1]
+    root_sech = root * sech
     for m in range(n_max):
-        for n in range(n_max + 1):
-            a = np.sqrt(n) * sech * k[m, n - 1] if n >= 1 else 0.0
-            b = t * np.sqrt(m) * k[m - 1, n] if m >= 1 else 0.0
-            k[m + 1, n] = (a + b) / np.sqrt(m + 1)
-    return k
+        k[m + 2, 1:] = (root_sech * k[m + 1, :-1] + t * root[m] * k[m, 1:]) / root[m + 1]
+    return k[1:, 1:]
 
 
 def fc_overlap_1d(nu: float, omega: float, m: int, n: int) -> float:
@@ -92,8 +97,8 @@ def fc_overlap_1d(nu: float, omega: float, m: int, n: int) -> float:
 
 
 def _hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
-    """h[n, :] = H_n(y) / sqrt(2^n n! sqrt(pi)), stable upward recursion."""
-    h = np.empty((n_max + 1, y.size))
+    """h[n, ...] = H_n(y) / sqrt(2^n n! sqrt(pi)), stable upward recursion."""
+    h = np.empty((n_max + 1,) + y.shape)
     h[0] = np.pi**-0.25
     if n_max >= 1:
         h[1] = np.sqrt(2.0) * y * h[0]
@@ -104,54 +109,53 @@ def _hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
 
 def _quadrature_fc(ground: PhononBasis, excited: PhononBasis, n_max: int,
                    order: int) -> np.ndarray:
-    """2D Gauss-Hermite evaluation of the overlap matrix on rotated modes."""
+    """2D Gauss-Hermite overlap matrix on rotated modes, one GEMM per node block."""
     w_g = ground.frequencies   # Gaussian widths exp(-w Q^2 / 2), hbar = M = 1
     w_e = excited.frequencies
     rot = excited.eigenvectors.T @ ground.eigenvectors  # ket coords -> bra coords
     gauss = np.diag(w_g) + rot.T @ np.diag(w_e) @ rot
     d, r = np.linalg.eigh(gauss)
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    # grid over the principal axes u of the combined Gaussian
-    ta, tb = np.meshgrid(nodes, nodes, indexing="ij")
-    u = np.stack([ta.ravel() * np.sqrt(2.0 / d[0]), tb.ravel() * np.sqrt(2.0 / d[1])])
-    q_ket = r @ u              # shared coordinates expressed in ket modes
-    q_bra = rot @ q_ket
-    wgt = np.outer(weights, weights).ravel() * np.sqrt(2.0 / d[0]) * np.sqrt(2.0 / d[1])
-
-    def mode_values(freqs, q):
-        out = []
-        for i in range(2):
-            w = freqs[i]
-            out.append(w**0.25 * _hermite_functions(n_max, np.sqrt(w) * q[i]))
-        return out
-
-    g1, g2 = mode_values(ground.frequencies, q_ket)
-    e1, e2 = mode_values(excited.frequencies, q_bra)
-    k4 = np.einsum("an,bn,cn,dn,n->abcd", e1, e2, g1, g2, wgt)
+    freqs = np.concatenate([w_g, w_e])
+    scale = np.sqrt(2.0 / d)   # principal-axis coordinate per Hermite node
+    # Hermite nodes -> ket and bra mode coordinates in oscillator lengths
+    to_modes = np.vstack([r, rot @ r]) * scale * np.sqrt(freqs)[:, None]
+    norm = np.prod(freqs) ** 0.25 * np.prod(scale)
     dim = (n_max + 1) ** 2
-    return k4.reshape(dim, dim)
+    entries = np.zeros((dim, dim))
+    for start in range(0, order * order, NODE_BLOCK):
+        ia, ib = np.divmod(np.arange(start, min(start + NODE_BLOCK, order * order)), order)
+        h = _hermite_functions(n_max, to_modes @ np.stack([nodes[ia], nodes[ib]]))
+        g1, g2, e1, e2 = h.swapaxes(0, 1)
+        wgt = weights[ia] * weights[ib] * norm
+        bra = (e1[:, None] * e2[None]).reshape(dim, -1)
+        ket = (g1[:, None] * (g2 * wgt)[None]).reshape(dim, -1)
+        entries += bra @ ket.T
+    return entries
 
 
 def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10,
-              force_quadrature: bool = False, order: int = None) -> FCMatrix:
+              order: int = None) -> FCMatrix:
     """Overlap matrix between the truncated Fock spaces of two phonon bases.
 
     Both bases must describe the same axis and geometry. When the mode
     vectors agree the matrix is an exact tensor product of 1D overlaps;
     otherwise it is computed by rotated-coordinate Gauss-Hermite quadrature,
-    raising ToleranceFailure if the order grows past 128 (n_max + 1) without
-    converging. Emits TruncationWarning when any bra row norm drops below 1 - 1e-4.
+    contracted as one GEMM per block of grid nodes. The quadrature is exact
+    from order 2 n_max + 1 on (the integrand's polynomial degree per principal
+    axis is <= 4 n_max); the loop starts at `order` (default 2 n_max + 4) and
+    doubles it until the entries agree to 1e-9, raising ToleranceFailure if
+    the order grows past 128 (n_max + 1) without converging. Emits
+    TruncationWarning when any bra row norm drops below 1 - 1e-4.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     aligned = np.max(np.abs(ground.eigenvectors - excited.eigenvectors)) <= ALIGNMENT_TOL
-    if aligned and not force_quadrature:
+    if aligned:
         t1 = _overlap_table(excited.frequencies[0], ground.frequencies[0], n_max)
         t2 = _overlap_table(excited.frequencies[1], ground.frequencies[1], n_max)
         entries = np.kron(t1, t2)
     else:
-        # exact once the order exceeds the polynomial degree; grown until the
-        # doubled order agrees to 1e-9 entrywise
         q = order if order is not None else 2 * n_max + 4
         entries = _quadrature_fc(ground, excited, n_max, q)
         while True:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,47 @@ def overlap_by_quadrature(nu, omega, m, n):
                   * oscillator_eigenfunction(n, omega, x),
                   -40, 40, epsabs=1e-13, epsrel=1e-13, limit=400)
     return val
+
+
+def hermite_reference(n_max, y):
+    """H_n(y) / sqrt(2^n n! sqrt(pi)) from scipy's physicists' Hermite polynomials."""
+    return np.array([eval_hermite(n, y) / np.sqrt(2.0**n * factorial(n) * np.sqrt(np.pi))
+                     for n in range(n_max + 1)])
+
+
+def einsum_reference(ground, excited, n_max, order):
+    """The rotated-mode quadrature as one 5-operand einsum over the whole grid."""
+    rot = excited.eigenvectors.T @ ground.eigenvectors
+    gauss = np.diag(ground.frequencies) + rot.T @ np.diag(excited.frequencies) @ rot
+    d, r = np.linalg.eigh(gauss)
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    ta, tb = np.meshgrid(nodes, nodes, indexing="ij")
+    q_ket = r @ (np.stack([ta.ravel(), tb.ravel()]) * np.sqrt(2.0 / d)[:, None])
+    q_bra = rot @ q_ket
+    wgt = np.outer(weights, weights).ravel() * np.prod(np.sqrt(2.0 / d))
+    g1, g2 = (w**0.25 * hermite_reference(n_max, np.sqrt(w) * q)
+              for w, q in zip(ground.frequencies, q_ket))
+    e1, e2 = (w**0.25 * hermite_reference(n_max, np.sqrt(w) * q)
+              for w, q in zip(excited.frequencies, q_bra))
+    dim = (n_max + 1) ** 2
+    return np.einsum("an,bn,cn,dn,n->abcd", e1, e2, g1, g2, wgt).reshape(dim, dim)
+
+
+def overlap_table_reference(nu, omega, n_max):
+    """The two-term recursion entry by entry, in scalar arithmetic."""
+    t = (nu - omega) / (nu + omega)
+    sech = 2.0 * np.sqrt(nu * omega) / (nu + omega)
+    k = np.zeros((n_max + 1, n_max + 1))
+    k[0, 0] = np.sqrt(sech)
+    for n in range(n_max):
+        prev = k[0, n - 1] if n >= 1 else 0.0
+        k[0, n + 1] = -t * np.sqrt(n) * prev / np.sqrt(n + 1)
+    for m in range(n_max):
+        for n in range(n_max + 1):
+            a = np.sqrt(n) * sech * k[m, n - 1] if n >= 1 else 0.0
+            b = t * np.sqrt(m) * k[m - 1, n] if m >= 1 else 0.0
+            k[m + 1, n] = (a + b) / np.sqrt(m + 1)
+    return k
 
 
 class TestOverlap1D:
@@ -73,6 +115,17 @@ class TestOverlap1D:
         with pytest.raises(DomainError):
             fc_overlap_1d(1.0, 1.0, -1, 0)
 
+    @settings(max_examples=200)
+    @given(st.floats(min_value=0.05, max_value=10.0),
+           st.floats(min_value=0.05, max_value=10.0),
+           st.integers(min_value=0, max_value=24))
+    def test_row_recursion_equals_scalar_recursion(self, nu, omega, n_max):
+        # same IEEE operations in the same order: equal values (== ignores
+        # the sign of exact zeros)
+        table = franck_condon._overlap_table(nu, omega, n_max)
+        assert table.shape == (n_max + 1, n_max + 1)
+        assert np.array_equal(table, overlap_table_reference(nu, omega, n_max))
+
 
 @pytest.fixture(scope="module")
 def bases():
@@ -106,8 +159,9 @@ class TestMatrix:
                     == pytest.approx(product, abs=1e-14)
 
     def test_quadrature_path_matches_recursion_on_aligned_case(self, bases):
-        # cross-check of the two code paths: force the rotated-coordinate
-        # quadrature on an aligned problem with a ~2x frequency mismatch
+        # cross-check of the two code paths: the rotated-coordinate quadrature,
+        # at the order the doubling loop ends on (4 n_max + 8), on an aligned
+        # problem with a ~2x frequency mismatch
         ground = bases((0.0, 0.0))
         excited = bases((-2.0e9, -2.0e9))
         ratio = excited.frequencies / ground.frequencies
@@ -115,8 +169,8 @@ class TestMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             direct = fc_matrix(ground, excited, n_max=6)
-            quadr = fc_matrix(ground, excited, n_max=6, force_quadrature=True)
-        assert np.max(np.abs(direct.entries - quadr.entries)) < 1e-10
+        quadr = franck_condon._quadrature_fc(ground, excited, 6, 4 * 6 + 8)
+        assert np.max(np.abs(direct.entries - quadr)) < 1e-10
 
     def test_rotated_case_row_norms(self, bases):
         # a single-ion shift rotates the quasi-degenerate transverse modes;
@@ -185,6 +239,45 @@ class TestMatrix:
             warnings.simplefilter("ignore", TruncationWarning)
             fc = fc_matrix(ground, bases((-2.0e9, 0.0)), n_max=8)
         assert np.all(fc.row_norms() <= 1.0 + 1e-12)
+
+    # with NODE_BLOCK = 256 nodes, orders 3 and 7 fill less than one block,
+    # 16 exactly one, and 23 and 28 end on a partial block
+    @pytest.mark.parametrize("pol, n_max, order", [
+        (-2e8, 0, 3), (-2e8, 1, 7), (-1e5, 6, 16), (-2e9, 6, 23), (-2e8, 12, 28)])
+    def test_blocked_gemm_matches_einsum(self, bases, pol, n_max, order):
+        ground = bases((0.0, 0.0))
+        excited = bases((pol, 0.0))
+        assert np.max(np.abs(ground.eigenvectors - excited.eigenvectors)) > 1e-3
+        blocked = franck_condon._quadrature_fc(ground, excited, n_max, order)
+        reference = einsum_reference(ground, excited, n_max, order)
+        assert np.max(np.abs(blocked - reference)) <= 1e-13
+
+    def test_start_order_is_exact(self, bases):
+        # the integrand has degree <= 4 n_max per principal axis, so order
+        # 2 n_max + 1 is exact and 2 n_max is not; the doubling only verifies
+        ground = bases((0.0, 0.0))
+        excited = bases((-1e9, 0.0))
+        assert (excited.frequencies / ground.frequencies).max() > 1.8
+        n = 6
+        exact = franck_condon._quadrature_fc(ground, excited, n, 4 * n + 8)
+        assert np.max(np.abs(franck_condon._quadrature_fc(ground, excited, n, 2 * n + 1)
+                             - exact)) <= 1e-13
+        assert np.max(np.abs(franck_condon._quadrature_fc(ground, excited, n, 2 * n)
+                             - exact)) > 1e-10
+
+    def test_rotated_transient_memory_bounded(self, bases):
+        # node blocks keep the transient at ~1.7 MB; contracting all order**2
+        # nodes at once peaks near 11 MB at n_max = 12
+        ground = bases((0.0, 0.0))
+        excited = bases((-1e5, 0.0))
+        fc_matrix(ground, excited, n_max=12)
+        tracemalloc.start()
+        try:
+            fc_matrix(ground, excited, n_max=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_unconverged_quadrature_raises(self, bases, monkeypatch):
         # entries that move by the order itself never settle under doubling;
