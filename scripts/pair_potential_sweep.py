@@ -1,58 +1,57 @@
 #!/usr/bin/env python3
 """Sweep the two-ion pair potential over separation.
 
-Writes a CSV with the vdW shift, the projected dipole-exchange shift of the
-lower dressed branch, and all four exactly diagonalized pair branches, then
-prints where the projected formula is good to 2%.
+Writes the `rydgate interactions` CSV (vdW shift, projected dipole-exchange
+shift of the lower dressed branch, all four exactly diagonalized pair
+branches), then prints where the projected formula is good to 2%, with the
+asymptote 2 E- taken from `rydgate dress` on the same config.
 """
 
 import argparse
 import csv
+import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 
-import rydgate as rg
-from rydgate.constants import mhz, to_mhz
+from rydgate import cli
 from rydgate.errors import WeakDriveWarning
+
+
+def _run(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakDriveWarning)
+        status = cli.main(argv)
+    if status:
+        raise SystemExit(status)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--r-min", type=float, default=2.0)
-    ap.add_argument("--r-max", type=float, default=10.0)
-    ap.add_argument("--points", type=int, default=100)
+    ap.add_argument("--r-min", default="2.0")
+    ap.add_argument("--r-max", default="10.0")
+    ap.add_argument("--points", default="100")
     ap.add_argument("--out", default="pair_potential.csv")
     args = ap.parse_args()
 
-    drive = rg.MWDrive(omega_mw_rabi=mhz(400.0), delta_s=mhz(136.074),
-                       delta_p=mhz(293.957))
-    pair = rg.dress(drive)
-    model = rg.dd_coefficients(pair, drive.d1)
-    c6 = mhz(300.0)
+    _run(["interactions", "--r-min", args.r_min, "--r-max", args.r_max,
+          "--points", args.points, "--output", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        pair_path = os.path.join(tmp, "pair.json")
+        _run(["dress", "--output", pair_path])
+        with open(pair_path, encoding="utf-8") as handle:
+            e_minus_mhz = json.load(handle)["e_minus_mhz"]
+    with open(args.out, newline="", encoding="utf-8") as handle:
+        table = list(csv.DictReader(handle))
 
-    grid = np.linspace(args.r_min, args.r_max, args.points)
-    rows, devs = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakDriveWarning)
-        for r0 in grid:
-            eigs = rg.pair_potential_full(drive, r0=r0)
-            approx = rg.dd_shift(model.c3_minus, r0)
-            full = eigs[0] - 2 * pair.e_minus
-            devs.append(abs(full - approx) / approx)
-            rows.append([r0, to_mhz(rg.vdw_shift(c6, r0)), to_mhz(approx),
-                         *[to_mhz(e) for e in eigs]])
-
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["R0_um", "vdw_mhz", "dd_minus_mhz",
-                         "full_branch_1_mhz", "full_branch_2_mhz",
-                         "full_branch_3_mhz", "full_branch_4_mhz"])
-        writer.writerows(rows)
-
-    devs = np.array(devs)
+    grid = np.array([float(row["R0_um"]) for row in table])
+    approx = np.array([float(row["dd_minus_mhz"]) for row in table])
+    full = np.array([float(row["full_branch_1_mhz"]) for row in table]) - 2 * e_minus_mhz
+    devs = np.abs(full - approx) / approx
     good = grid[devs <= 0.02]
-    print(f"wrote {args.out} ({args.points} rows)")
+    print(f"wrote {args.out} ({len(table)} rows)")
     print(f"projected C3/R0^3 within 2% of the full branch for "
           f"R0 >= {good[0]:.2f} um" if good.size else "never within 2%")
     print(f"max deviation {devs.max():.2%} at R0 = {grid[np.argmax(devs)]:.2f} um")

@@ -2,8 +2,10 @@
 
 Subcommands: modes, fc, dress, interactions, gate, evolve. One config file
 (flag --config, else $RYDGATE_CONFIG, else built-in defaults) supplies the
-parameters; subcommand flags override it. Output is deterministic: floats
-are serialized with 12 significant digits, CSV rows carry a header, JSON is
+parameters. A flag that sets a run parameter is a config override: its
+dest names the key ("pulse.tau_us") and load_config parses and range-checks
+it like the file's own value. Output is deterministic: floats are
+serialized with 12 significant digits, CSV rows carry a header, JSON is
 emitted with sorted keys. Exit codes: 0 success, 2 validation/parse errors,
 3 numerical failures.
 """
@@ -107,11 +109,11 @@ def _cmd_dress(cfg: RunConfig, args) -> str:
 def _cmd_interactions(cfg: RunConfig, args) -> str:
     drive = cfg.dressing.mw_drive()
     pair = dress(drive, cfg.dressing.pol_p, cfg.dressing.pol_s)
-    model = interactions.dd_coefficients(pair, cfg.dressing.d1, c6=cfg.interactions.c6)
-    r_grid = np.linspace(args.r_min, args.r_max, args.points)
+    model = interactions.dd_coefficients(pair, drive.d1, c6=cfg.interactions.c6)
+    sweep = cfg.interactions
     rows = []
-    for r0 in r_grid:
-        eigs = interactions.pair_potential_full(drive, cfg.dressing.d1, r0)
+    for r0 in np.linspace(sweep.r_min_um, sweep.r_max_um, sweep.points):
+        eigs = interactions.pair_potential_full(drive, r0)
         rows.append([
             r0,
             to_mhz(interactions.vdw_shift(model.c6, r0)),
@@ -124,17 +126,9 @@ def _cmd_interactions(cfg: RunConfig, args) -> str:
     return _csv_text(header, rows)
 
 
-def _gate_pulse(cfg: RunConfig, args):
-    omega0 = mhz(args.omega0_mhz if args.omega0_mhz is not None else cfg.pulse.omega0_mhz)
-    delta0 = mhz(args.delta0_mhz if args.delta0_mhz is not None else cfg.pulse.delta0_mhz)
-    tau = args.tau_us if args.tau_us is not None else cfg.pulse.tau_us
-    blockade = mhz(args.blockade_mhz if args.blockade_mhz is not None
-                   else cfg.simulation.blockade_mhz)
-    return gate.PulseShape(omega0=omega0, delta0=delta0, tau=tau), blockade
-
-
 def _cmd_gate(cfg: RunConfig, args) -> str:
-    pulse, blockade = _gate_pulse(cfg, args)
+    pulse = cfg.pulse.pulse_shape()
+    blockade = mhz(cfg.simulation.blockade_mhz)
     if args.optimize:
         delta0 = gate.optimize_pulse(pulse.omega0, pulse.tau, blockade)
         pulse = gate.PulseShape(omega0=pulse.omega0, delta0=delta0, tau=pulse.tau)
@@ -159,7 +153,7 @@ def _cmd_gate(cfg: RunConfig, args) -> str:
     return _json_text(payload)
 
 
-def _cmd_evolve(cfg: RunConfig, args, out_path: str) -> str:
+def _cmd_evolve(cfg: RunConfig, args) -> str:
     sim = cfg.sim_config()
     phases = dynamics.entangling_phase_dynamic(sim)
     trace = phases["trace_dd"]
@@ -180,21 +174,35 @@ def _cmd_evolve(cfg: RunConfig, args, out_path: str) -> str:
         "norm_drift": float(np.max(np.abs(trace.norms - 1.0))),
     }
     summary_text = _json_text(summary)
-    if out_path:
-        summary_path = out_path + ".summary.json"
-        with open(summary_path, "w", encoding="utf-8") as handle:
+    if cfg.output.path:
+        with open(cfg.output.path + ".summary.json", "w", encoding="utf-8") as handle:
             handle.write(summary_text)
     else:
         sys.stderr.write(summary_text)
     return csv_text
 
 
+_COMMANDS = {
+    "modes": _cmd_modes,
+    "fc": _cmd_fc,
+    "dress": _cmd_dress,
+    "interactions": _cmd_interactions,
+    "gate": _cmd_gate,
+    "evolve": _cmd_evolve,
+}
+
+
+def _override(parser, flag: str, key: str, **kwargs):
+    """A flag that sets config key "section.name"; load_config parses it."""
+    parser.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help=f"config file (default: ${ENV_CONFIG} if set)")
-    common.add_argument("--output", default=None,
-                        help="output file (default: [output] path or stdout)")
+    _override(common, "--output", "output.path",
+              help="output file (default: [output] path or stdout)")
 
     parser = argparse.ArgumentParser(
         prog="rydgate",
@@ -216,16 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_int = sub.add_parser("interactions", parents=[common],
                            help="pair-potential sweep over R0 (CSV)")
-    p_int.add_argument("--r-min", type=float, default=None, dest="r_min")
-    p_int.add_argument("--r-max", type=float, default=None, dest="r_max")
-    p_int.add_argument("--points", type=int, default=None)
+    _override(p_int, "--r-min", "interactions.r_min_um")
+    _override(p_int, "--r-max", "interactions.r_max_um")
+    _override(p_int, "--points", "interactions.points")
 
     p_gate = sub.add_parser("gate", parents=[common],
                             help="adiabatic gate design (JSON or CSV trace)")
-    p_gate.add_argument("--omega0-mhz", type=float, default=None, dest="omega0_mhz")
-    p_gate.add_argument("--delta0-mhz", type=float, default=None, dest="delta0_mhz")
-    p_gate.add_argument("--tau-us", type=float, default=None, dest="tau_us")
-    p_gate.add_argument("--blockade-mhz", type=float, default=None, dest="blockade_mhz")
+    _override(p_gate, "--omega0-mhz", "pulse.omega0_mhz")
+    _override(p_gate, "--delta0-mhz", "pulse.delta0_mhz")
+    _override(p_gate, "--tau-us", "pulse.tau_us")
+    _override(p_gate, "--blockade-mhz", "simulation.blockade_mhz")
     p_gate.add_argument("--optimize", action="store_true",
                         help="solve for the delta0 that yields phi_ent = pi")
     p_gate.add_argument("--trace", action="store_true",
@@ -237,37 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config_path = args.config or os.environ.get(ENV_CONFIG) or None
+    overrides = {key: raw for key, raw in vars(args).items()
+                 if "." in key and raw is not None}
     try:
-        cfg = load_config(config_path)
-        out_path = args.output if args.output is not None else cfg.output.path
-        if args.command == "modes":
-            text = _cmd_modes(cfg, args)
-        elif args.command == "fc":
-            text = _cmd_fc(cfg, args)
-        elif args.command == "dress":
-            text = _cmd_dress(cfg, args)
-        elif args.command == "interactions":
-            if args.r_min is None:
-                args.r_min = cfg.interactions.r_min_um
-            if args.r_max is None:
-                args.r_max = cfg.interactions.r_max_um
-            if args.points is None:
-                args.points = cfg.interactions.points
-            if not 0.0 < args.r_min < args.r_max:
-                raise ValidationError("need 0 < r_min < r_max")
-            if args.points < 2:
-                raise ValidationError("points must be >= 2")
-            text = _cmd_interactions(cfg, args)
-        elif args.command == "gate":
-            text = _cmd_gate(cfg, args)
-        elif args.command == "evolve":
-            text = _cmd_evolve(cfg, args, out_path)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValidationError(f"unknown subcommand {args.command!r}")
-        _emit(text, out_path)
+        cfg = load_config(config_path, overrides)
+        _emit(_COMMANDS[args.command](cfg, args), cfg.output.path)
         return 0
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

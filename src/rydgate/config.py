@@ -142,9 +142,6 @@ _SECTIONS = {
     "output": OutputSection,
 }
 
-_INT_KEYS = {"points", "n_phonon_max", "n_output"}
-_STR_KEYS = {"path"}
-
 # key -> (predicate, requirement text); violations raise ValidationError
 _RANGES = {
     "alpha": (lambda v: v > 0, "must be > 0"),
@@ -168,15 +165,11 @@ _RANGES = {
 }
 
 
-def _convert(section: str, key: str, raw: str):
-    if key in _STR_KEYS:
-        return raw.strip()
+def _convert(section: str, field, raw: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return field.type(raw)
     except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        raise ParseError(f"[{section}] {field.name}: cannot parse {raw!r}") from exc
 
 
 def _check_range(section: str, key: str, value):
@@ -185,9 +178,15 @@ def _check_range(section: str, key: str, value):
         raise ValidationError(f"[{section}] {key} {rule[1]}, got {value}")
 
 
-def load_config(path=None) -> RunConfig:
-    """Parse and validate a config file; None yields the all-defaults config."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+def load_config(path=None, overrides=None) -> RunConfig:
+    """Parse and validate a config file; None yields the all-defaults config.
+
+    overrides maps "section.key" to a raw value string (the CLI's flags). It
+    is written into the parsed file before anything is converted, so a
+    flag obeys exactly the rules of the key it names.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -196,27 +195,24 @@ def load_config(path=None) -> RunConfig:
             raise ParseError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ParseError(f"malformed config file {path}: {exc}") from exc
+    for dotted, raw in (overrides or {}).items():
+        section, key = dotted.split(".")
+        parser.read_dict({section: {key: raw}})
 
-    kwargs = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
-        cls = _SECTIONS[section]
-        known = {f.name for f in fields(cls)}
-        overrides = {}
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ValidationError(f"unknown key '{key}' in section [{section}]")
-            value = _convert(section, key, raw)
-            _check_range(section, key, value)
-            overrides[key] = value
-        kwargs[section] = cls(**overrides)
+    kwargs = {}
     for name, cls in _SECTIONS.items():
-        if name not in kwargs:
-            defaults = cls()
-            for f in fields(cls):
-                _check_range(name, f.name, getattr(defaults, f.name))
-            kwargs[name] = defaults
+        known = {f.name: f for f in fields(cls)}
+        given = parser[name] if parser.has_section(name) else {}
+        for key in given:
+            if key not in known:
+                raise ValidationError(f"unknown key '{key}' in section [{name}]")
+        section = cls(**{key: _convert(name, known[key], raw) for key, raw in given.items()})
+        for key in known:
+            _check_range(name, key, getattr(section, key))
+        kwargs[name] = section
     cfg = RunConfig(**kwargs)
     if cfg.interactions.r_min_um >= cfg.interactions.r_max_um:
         raise ValidationError("[interactions] r_min_um must be < r_max_um")

@@ -134,8 +134,7 @@ def _quadrature_fc(ground: PhononBasis, excited: PhononBasis, n_max: int,
     return entries
 
 
-def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10,
-              order: int = None) -> FCMatrix:
+def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCMatrix:
     """Overlap matrix between the truncated Fock spaces of two phonon bases.
 
     Both bases must describe the same axis and geometry. When the mode
@@ -143,9 +142,9 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10,
     otherwise it is computed by rotated-coordinate Gauss-Hermite quadrature,
     contracted as one GEMM per block of grid nodes. The quadrature is exact
     from order 2 n_max + 1 on (the integrand's polynomial degree per principal
-    axis is <= 4 n_max); the loop starts at `order` (default 2 n_max + 4) and
-    doubles it until the entries agree to 1e-9, raising ToleranceFailure if
-    the order grows past 128 (n_max + 1) without converging. Emits
+    axis is <= 4 n_max); the loop starts at order 2 n_max + 4 and doubles
+    it until the entries agree to 1e-9, raising ToleranceFailure if the
+    order grows past 128 (n_max + 1) without converging. Emits
     TruncationWarning when any bra row norm drops below 1 - 1e-4.
     """
     if n_max < 0:
@@ -156,7 +155,7 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10,
         t2 = _overlap_table(excited.frequencies[1], ground.frequencies[1], n_max)
         entries = np.kron(t1, t2)
     else:
-        q = order if order is not None else 2 * n_max + 4
+        q = 2 * n_max + 4
         entries = _quadrature_fc(ground, excited, n_max, q)
         while True:
             refined = _quadrature_fc(ground, excited, n_max, 2 * q)

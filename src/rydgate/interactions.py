@@ -72,21 +72,19 @@ def exchange_coupling(d1: float, r0: float) -> float:
     return joule_to_rad_us(g_si)
 
 
-def pair_potential_full(drive: MWDrive, d1: float = None, r0: float = 5.0) -> np.ndarray:
+def pair_potential_full(drive: MWDrive, r0: float = 5.0) -> np.ndarray:
     """Sorted eigenvalues (rad/us) of the driven two-ion pair Hamiltonian.
 
     Basis {PP, PS, SP, SS}: the single-ion drive Hamiltonian acts on each
     factor and the resonant exchange couples PS <-> SP. Valid deep in the
     strong-drive regime; emits WeakDriveWarning when Omega_MW is less than
-    ten times the bare exchange energy C0 d1^2/(q^2 R0^3).
+    ten times the bare exchange energy C0 d1^2/(q^2 R0^3), d1 = drive.d1.
     """
     if r0 <= 0.0:
         raise DomainError("separation must be positive")
-    if d1 is None:
-        d1 = drive.d1
-    g = exchange_coupling(d1, r0)
+    g = exchange_coupling(drive.d1, r0)
     bare_exchange = 2.0 * g
-    if d1 != 0.0 and drive.omega_mw_rabi < 10.0 * bare_exchange:
+    if drive.d1 != 0.0 and drive.omega_mw_rabi < 10.0 * bare_exchange:
         warnings.warn(
             f"Omega_MW / exchange = {drive.omega_mw_rabi / bare_exchange:.2f} < 10 "
             f"at R0 = {r0} um; dressed branches are no longer well separated",
@@ -102,8 +100,8 @@ def pair_potential_full(drive: MWDrive, d1: float = None, r0: float = 5.0) -> np
     return np.sort(np.linalg.eigvalsh(h))
 
 
-def lower_branch_shift(drive: MWDrive, d1: float = None, r0: float = 5.0) -> float:
+def lower_branch_shift(drive: MWDrive, r0: float = 5.0) -> float:
     """Interaction energy of the lowest pair branch relative to its asymptote."""
     pair = dress(drive)
-    eigs = pair_potential_full(drive, d1=d1, r0=r0)
+    eigs = pair_potential_full(drive, r0=r0)
     return eigs[0] - 2.0 * pair.e_minus

@@ -102,6 +102,22 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="n_output"):
             SimConfig(**{**vars(cfg.sim_config()), "n_output": 1})
 
+    def test_percent_sign_is_parse_error(self, tmp_path):
+        # no interpolation: a stray % is an unparseable value, not a crash
+        path = tmp_path / "bad.cfg"
+        path.write_text("[pulse]\ntau_us = 60%\n")
+        with pytest.raises(ParseError, match="tau_us"):
+            load_config(path)
+
+    def test_overrides_replace_file_values_before_validation(self, tmp_path):
+        path = tmp_path / "t.cfg"
+        path.write_text("[interactions]\npoints = 1\n")
+        cfg = load_config(path, {"interactions.points": "7", "pulse.tau_us": "50"})
+        assert cfg.interactions.points == 7
+        assert cfg.pulse.tau_us == 50.0
+        with pytest.raises(ValidationError, match=r"\[pulse\] tau_us"):
+            load_config(None, {"pulse.tau_us": "-5"})
+
     def test_omega_z_override_rederives_beta(self, tmp_path):
         path = tmp_path / "t.cfg"
         path.write_text("[trap]\nomega_z_mhz_override = 2.0\n")
@@ -221,3 +237,50 @@ class TestCLI:
             "tau0_us", "max_p_mm", "max_phonon_deviation", "norm_drift",
         }
         assert summary["norm_drift"] < 1e-8
+
+    def test_negative_blockade_flag_rejected_like_config_key(self, capsys):
+        assert main(["gate", "--blockade-mhz", "-1"]) == 2
+        assert "[simulation] blockade_mhz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "60%"])
+    def test_unparseable_flag_exit_code(self, raw, capsys):
+        assert main(["gate", "--tau-us", raw]) == 2
+        assert "[pulse] tau_us" in capsys.readouterr().err
+
+    def test_points_flag_overrides_invalid_file_value(self, tmp_path):
+        cfgfile = tmp_path / "p.cfg"
+        cfgfile.write_text("[interactions]\npoints = 1\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["interactions", "--config", str(cfgfile), "--points", "50",
+                     "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 51
+
+    def test_r_max_flag_overrides_file_before_range_check(self, tmp_path):
+        cfgfile = tmp_path / "r.cfg"
+        cfgfile.write_text("[interactions]\nr_min_um = 12\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["interactions", "--config", str(cfgfile), "--r-max", "14",
+                     "--points", "3", "--output", str(out)]) == 0
+        r0 = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert r0 == ["12", "13", "14"]
+
+    @pytest.mark.parametrize("extra", [[], ["--trace"], ["--optimize"]])
+    def test_gate_flags_equal_config_keys(self, tmp_path, extra):
+        cfgfile = tmp_path / "g.cfg"
+        cfgfile.write_text("[pulse]\nomega0_mhz = 0.4876\ndelta0_mhz = 0.65\n"
+                           "tau_us = 58.1234\n[simulation]\nblockade_mhz = 2.6543\n")
+        by_file, by_flag = tmp_path / "file.out", tmp_path / "flag.out"
+        assert main(["gate", *extra, "--config", str(cfgfile), "--output", str(by_file)]) == 0
+        assert main(["gate", *extra, "--omega0-mhz", "0.4876", "--delta0-mhz", "0.65",
+                     "--tau-us", "58.1234", "--blockade-mhz", "2.6543",
+                     "--output", str(by_flag)]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    def test_interactions_flags_equal_config_keys(self, tmp_path):
+        cfgfile = tmp_path / "i.cfg"
+        cfgfile.write_text("[interactions]\nr_min_um = 3.3\nr_max_um = 7.9\npoints = 37\n")
+        by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert main(["interactions", "--config", str(cfgfile), "--output", str(by_file)]) == 0
+        assert main(["interactions", "--r-min", "3.3", "--r-max", "7.9", "--points", "37",
+                     "--output", str(by_flag)]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
