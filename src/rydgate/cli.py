@@ -109,14 +109,14 @@ def _cmd_dress(cfg: RunConfig, args) -> str:
 def _cmd_interactions(cfg: RunConfig, args) -> str:
     drive = cfg.dressing.mw_drive()
     pair = dress(drive, cfg.dressing.pol_p, cfg.dressing.pol_s)
-    model = interactions.dd_coefficients(pair, drive.d1, c6=cfg.interactions.c6)
+    model = interactions.dd_coefficients(pair, drive.d1)
     sweep = cfg.interactions
     rows = []
     for r0 in np.linspace(sweep.r_min_um, sweep.r_max_um, sweep.points):
         eigs = interactions.pair_potential_full(drive, r0)
         rows.append([
             r0,
-            to_mhz(interactions.vdw_shift(model.c6, r0)),
+            to_mhz(interactions.vdw_shift(cfg.interactions.c6, r0)),
             to_mhz(interactions.dd_shift(model.c3_minus, r0)),
             *[to_mhz(e) for e in eigs],
         ])
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rydgate",
         description="Design and simulate the dressed-Rydberg entangling phase gate",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -114,12 +114,12 @@ def _pol_branch(delta_minus: float, omega: float, pol_p: float, pol_s: float,
 
 
 def solve_zero_polarizability(pol_p: float, pol_s: float, omega_mw_rabi: float,
-                              branch: str = "-", bracket_scale: float = 100.0) -> float:
+                              branch: str = "-") -> float:
     """Detuning difference Delta_- at which the chosen branch polarizability vanishes.
 
     Requires pol_p and pol_s of opposite signs (otherwise no branch can be
     nulled: raises NoRoot). Bisection on the closed form, which is monotone
-    in Delta_- on each branch; the search bracket is +-bracket_scale*Omega.
+    in Delta_- on each branch; the search bracket is +-100 Omega.
     """
     if branch not in ("+", "-"):
         raise NoRoot(f"branch must be '+' or '-', got {branch!r}")
@@ -127,8 +127,7 @@ def solve_zero_polarizability(pol_p: float, pol_s: float, omega_mw_rabi: float,
         raise NoRoot(
             "zero dressed polarizability needs pol_p and pol_s of opposite signs"
         )
-    lo = -bracket_scale * omega_mw_rabi
-    hi = bracket_scale * omega_mw_rabi
+    lo, hi = -100.0 * omega_mw_rabi, 100.0 * omega_mw_rabi
     f_lo = _pol_branch(lo, omega_mw_rabi, pol_p, pol_s, branch)
     f_hi = _pol_branch(hi, omega_mw_rabi, pol_p, pol_s, branch)
     if f_lo * f_hi > 0.0:

@@ -22,8 +22,9 @@ Two code paths:
   of order q >= 2 n_max + 1 is exact. The matrix is contracted as a sum of
   GEMMs over blocks of NODE_BLOCK grid nodes, (bra functions) x (weighted ket
   functions)^T, evaluating coordinates and Hermite functions block by block.
-  The order starts at 2 n_max + 4 and is doubled until doubling it moves no
-  entry by more than 1e-9, which verifies the exact start order.
+  The entries come from order 2 n_max + 2 and must agree to 1e-9 with the
+  smallest exact order 2 n_max + 1, which shares none of their nodes; else
+  ToleranceFailure. No other order is ever evaluated.
 
 All eigenfunctions are taken real with positive leading coefficient, so
 every overlap is real.
@@ -39,6 +40,7 @@ from .modes import PhononBasis
 
 ALIGNMENT_TOL = 1e-8
 ROW_NORM_DEFECT_TOL = 1e-4
+QUADRATURE_CHECK_TOL = 1e-9  # largest entry change between the two exact orders
 NODE_BLOCK = 256          # quadrature nodes per GEMM block of the rotated path
 
 
@@ -140,12 +142,15 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCM
     Both bases must describe the same axis and geometry. When the mode
     vectors agree the matrix is an exact tensor product of 1D overlaps;
     otherwise it is computed by rotated-coordinate Gauss-Hermite quadrature,
-    contracted as one GEMM per block of grid nodes. The quadrature is exact
-    from order 2 n_max + 1 on (the integrand's polynomial degree per principal
-    axis is <= 4 n_max); the loop starts at order 2 n_max + 4 and doubles
-    it until the entries agree to 1e-9, raising ToleranceFailure if the
-    order grows past 128 (n_max + 1) without converging. Emits
-    TruncationWarning when any bra row norm drops below 1 - 1e-4.
+    contracted as one GEMM per block of grid nodes. The integrand's polynomial
+    degree per principal axis is <= 4 n_max, so every order >= 2 n_max + 1 is
+    exact (Golub & Welsch, Math. Comp. 23, 221, 1969). The entries are those
+    of order 2 n_max + 2, returned only if no entry differs by more than 1e-9
+    from order 2 n_max + 1; otherwise ToleranceFailure is raised. The two
+    rules share no node, so the check bounds their rounding error when the
+    degree bound holds and shows the smaller rule's quadrature error when it
+    does not, as for a rule one order short of exact. Emits TruncationWarning
+    when any bra row norm drops below 1 - 1e-4.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
@@ -155,17 +160,13 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCM
         t2 = _overlap_table(excited.frequencies[1], ground.frequencies[1], n_max)
         entries = np.kron(t1, t2)
     else:
-        q = 2 * n_max + 4
-        entries = _quadrature_fc(ground, excited, n_max, q)
-        while True:
-            refined = _quadrature_fc(ground, excited, n_max, 2 * q)
-            if np.max(np.abs(refined - entries)) <= 1e-9:
-                entries = refined
-                break
-            if q > 64 * (n_max + 1):
-                raise ToleranceFailure(
-                    f"rotated FC quadrature unconverged at order {2 * q}")
-            entries, q = refined, 2 * q
+        q = 2 * n_max + 1
+        exact = _quadrature_fc(ground, excited, n_max, q)
+        entries = _quadrature_fc(ground, excited, n_max, q + 1)
+        gap = np.max(np.abs(entries - exact))
+        if not gap <= QUADRATURE_CHECK_TOL:  # also catches nan
+            raise ToleranceFailure(f"rotated FC quadrature orders {q} and {q + 1} differ "
+                                   f"by {gap:.3g} > {QUADRATURE_CHECK_TOL}")
     result = FCMatrix(n_max=n_max, entries=entries)
     worst = result.row_norms().min()
     if worst < 1.0 - ROW_NORM_DEFECT_TOL:

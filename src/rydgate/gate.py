@@ -173,11 +173,11 @@ def gate_unitary(phi_ent: float, phi_de: float) -> np.ndarray:
     )
 
 
-def _accumulated_phases(omega0, delta0, tau, blockade, quad_tol):
+def _accumulated_phases(omega0, delta0, tau, blockade):
     """Trapezoid integrals (2, m) of (E_DD, E_DE) over the pulse, one column per delta0.
 
     N doubles from 16, adding odd nodes only to rows whose integrals moved by
-    more than quad_tol. Also returns the nodes (2, k, N) of the k rows done last.
+    more than QUAD_ABS_TOL. Also returns the nodes (2, k, N) of the k rows done last.
     """
     def energies(d, x):  # at pulse fractions x = t / tau, shape (2, len(d), len(x))
         om = omega0 * np.sin(np.pi * x) ** 2
@@ -193,7 +193,7 @@ def _accumulated_phases(omega0, delta0, tau, blockade, quad_tol):
         prev = tau * vals.mean(axis=-1)
         vals = np.stack([vals, odd], axis=-1).reshape(2, rows.size, 2 * n)
         new = tau * vals.mean(axis=-1)
-        done = np.all(np.abs(new - prev) <= quad_tol, axis=0)
+        done = np.all(np.abs(new - prev) <= QUAD_ABS_TOL, axis=0)
         phi[:, rows[done]] = new[:, done]
         if done.all():
             return phi, vals
@@ -201,10 +201,9 @@ def _accumulated_phases(omega0, delta0, tau, blockade, quad_tol):
     raise ToleranceFailure(f"phase integrals not converged on {MAX_NODES} nodes")
 
 
-def entangling_phase(p: PulseShape, blockade: float,
-                     quad_tol: float = QUAD_ABS_TOL) -> GateDesign:
+def entangling_phase(p: PulseShape, blockade: float) -> GateDesign:
     """Integrate the adiabatic energies over the pulse and assemble the gate."""
-    phi, _ = _accumulated_phases(p.omega0, p.delta0, p.tau, blockade, quad_tol)
+    phi, _ = _accumulated_phases(p.omega0, p.delta0, p.tau, blockade)
     phi_dd, phi_de = phi[:, 0].tolist()
     phi_ent = float(wrap_angle(phi_dd - 2.0 * phi_de))
     return GateDesign(
@@ -216,15 +215,15 @@ def entangling_phase(p: PulseShape, blockade: float,
     )
 
 
-def phase_trace(p: PulseShape, blockade: float, n_points: int = 201):
-    """Cumulative phi_DD(t), phi_DE(t), phi_ent(t) on a uniform grid.
+def phase_trace(p: PulseShape, blockade: float):
+    """Cumulative phi_DD(t), phi_DE(t), phi_ent(t) on 201 uniform times.
 
     Integrates the cosine series through the design's nodes, so the endpoint
     is the design phase. Returns (times, phi_dd, phi_de, phi_ent), phi_ent
     wrapped to (-pi, pi].
     """
-    times = np.linspace(0.0, p.tau, n_points)
-    phi, vals = _accumulated_phases(p.omega0, p.delta0, p.tau, blockade, QUAD_ABS_TOL)
+    times = np.linspace(0.0, p.tau, 201)
+    phi, vals = _accumulated_phases(p.omega0, p.delta0, p.tau, blockade)
     n = vals.shape[-1]
     amp = np.fft.rfft(vals[:, 0]).real * (2.0 / n)
     amp[:, -1] /= 2.0  # the Nyquist term is not doubled
@@ -236,28 +235,21 @@ def phase_trace(p: PulseShape, blockade: float, n_points: int = 201):
     return times, phi_dd, phi_de, wrap_angle(phi_dd - 2.0 * phi_de)
 
 
-def optimize_pulse(omega0: float, tau: float, blockade: float,
-                   target: float = np.pi, bracket=None) -> float:
-    """Detuning scale delta0 at which the pulse accumulates the target phase.
+def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
+    """Detuning scale delta0 at which the pulse accumulates phi_ent = pi.
 
-    Scans the bracket (default [1e-3, 50] * omega0) for a sign change of the
-    unwrapped phi_ent - target, then polishes with Brent's method to
-    |phi_ent - target| < 1e-6. Raises NoRoot for a flat objective (omega0 = 0)
-    or when the bracket contains no sign change.
+    Scans [1e-3, 50] * omega0 for a sign change of the unwrapped phi_ent - pi,
+    then polishes with Brent's method to |phi_ent - pi| < 1e-6. Raises NoRoot
+    for a flat objective (omega0 = 0) or when the scan finds no sign change.
     """
     if omega0 <= 0.0:
         raise NoRoot("phase is independent of delta0 when omega0 = 0")
-    if bracket is None:
-        bracket = (1e-3 * omega0, 50.0 * omega0)
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise NoRoot(f"invalid bracket {bracket}")
 
     def objective(delta0):  # one value per entry of delta0
-        phi, _ = _accumulated_phases(omega0, delta0, tau, blockade, QUAD_ABS_TOL)
-        return phi[0] - 2.0 * phi[1] - target
+        phi, _ = _accumulated_phases(omega0, delta0, tau, blockade)
+        return phi[0] - 2.0 * phi[1] - np.pi
 
-    grid = np.geomspace(lo, hi, 40)
+    grid = np.geomspace(1e-3 * omega0, 50.0 * omega0, 40)
     values = objective(grid)
     for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if fa == 0.0:
@@ -267,19 +259,19 @@ def optimize_pulse(omega0: float, tau: float, blockade: float,
             if abs(objective(root)[0]) >= 1e-6:
                 raise NoRoot("root polish did not reach the phase tolerance")
             return float(root)
-    raise NoRoot("no sign change of phi_ent - target inside the bracket")
+    raise NoRoot("no sign change of phi_ent - pi inside [1e-3, 50] * omega0")
 
 
-def adiabaticity_ratio(p: PulseShape, blockade: float, n_points: int = 401) -> float:
+def adiabaticity_ratio(p: PulseShape, blockade: float) -> float:
     """min gap^2 / max slew, the dimensionless adiabaticity margin of the pulse.
 
-    Gap is the smaller of the two instantaneous avoided-crossing gaps, slew
-    the larger of |dOmega/dt| and |dE/dt|. Reported as a diagnostic; the
+    Gap is the smaller of the two avoided-crossing gaps on 401 uniform times,
+    slew the larger of |dOmega/dt| and |dE/dt|. Reported as a diagnostic; the
     design is considered adiabatic when the ratio is well above ~3. The
     doubly-driven gap uses the closed form's delta0_eff, so the ratio raises
     SingularDenominator where 4 E_- + 2 B vanishes on the grid.
     """
-    times = np.linspace(0.0, p.tau, n_points)
+    times = np.linspace(0.0, p.tau, 401)
     om, e = pulse_at(times, p)
     delta_eff = e - om**2 / _blockade_denominator(e, blockade)
     gap_dd = np.sqrt(delta_eff**2 + 2.0 * om**2)

@@ -17,21 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COULOMB_C0, E_CHARGE, M_TO_UM, joule_to_rad_us, mhz
+from .constants import COULOMB_C0, E_CHARGE, M_TO_UM, joule_to_rad_us
 from .dressing import DressedPair, MWDrive, dress
 from .errors import DomainError, WeakDriveWarning
-
-C6_DEFAULT = mhz(300.0)  # rad/us um^6, dispersion coefficient of the bare pair
 
 
 @dataclass(frozen=True)
 class InteractionModel:
-    """Dispersion and dipole-exchange coefficients of the ion pair.
+    """Dipole-exchange coefficients of the dressed ion pair.
 
-    c6 in rad/us um^6, c3_plus/c3_minus in rad/us um^3, d_plus/d_minus in m.
+    c3_plus/c3_minus in rad/us um^3, d_plus/d_minus in m.
     """
 
-    c6: float
     c3_minus: float
     c3_plus: float
     d_minus: float
@@ -52,13 +49,12 @@ def dd_shift(c3: float, r0: float) -> float:
     return c3 / r0**3
 
 
-def dd_coefficients(pair: DressedPair, d1: float, c6: float = C6_DEFAULT) -> InteractionModel:
+def dd_coefficients(pair: DressedPair, d1: float) -> InteractionModel:
     """Effective pair dipoles and C3 coefficients of the dressed branches."""
     d_minus = pair.n_minus**2 * pair.c_minus * abs(d1) / E_CHARGE
     d_plus = pair.n_plus**2 * pair.c_plus * abs(d1) / E_CHARGE
     to_internal = joule_to_rad_us(COULOMB_C0) * M_TO_UM**3  # (rad/us um^3) per m^2
     return InteractionModel(
-        c6=c6,
         c3_minus=to_internal * d_minus**2,
         c3_plus=to_internal * d_plus**2,
         d_minus=d_minus,

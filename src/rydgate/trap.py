@@ -43,10 +43,8 @@ class SecularFrequencies:
 
 @dataclass(frozen=True)
 class CrystalGeometry:
-    z1_bar: float  # m, equals -z2_bar
-    z2_bar: float  # m
+    z2_bar: float  # m, ion 2 on the axis; ion 1 sits at -z2_bar
     r0: float      # ion separation, m
-    n12: tuple = (0.0, 0.0, -1.0)  # unit vector from ion 2 towards ion 1
 
 
 def secular_frequencies(cfg: TrapConfig) -> SecularFrequencies:
@@ -79,7 +77,7 @@ def equilibrium_geometry(cfg: TrapConfig) -> CrystalGeometry:
     if cfg.beta <= 0.0:
         raise Unconfined(f"equilibrium geometry requires beta > 0, got beta={cfg.beta}")
     z2 = (cfg.coulomb / (16.0 * cfg.charge * cfg.beta)) ** (1.0 / 3.0)
-    return CrystalGeometry(z1_bar=-z2, z2_bar=z2, r0=2.0 * z2)
+    return CrystalGeometry(z2_bar=z2, r0=2.0 * z2)
 
 
 def lamb_dicke(k_laser: float, omega_z: float, mass: float) -> float:

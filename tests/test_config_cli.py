@@ -238,6 +238,19 @@ class TestCLI:
         }
         assert summary["norm_drift"] < 1e-8
 
+    @pytest.mark.parametrize("option", ["--config", "--output"])
+    def test_option_before_subcommand_rejected(self, tmp_path, option, capsys):
+        # options belong to the subcommand; before it they must be rejected,
+        # not overwritten by the subcommand's defaults
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[pulse]\ntau_us = -1\n")
+        value = {"--config": str(bad), "--output": str(tmp_path / "top.json")}[option]
+        out = tmp_path / "sub.json"
+        with pytest.raises(SystemExit) as exc:
+            main([option, value, "gate", "--output", str(out)])
+        assert exc.value.code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     def test_negative_blockade_flag_rejected_like_config_key(self, capsys):
         assert main(["gate", "--blockade-mhz", "-1"]) == 2
         assert "[simulation] blockade_mhz" in capsys.readouterr().err

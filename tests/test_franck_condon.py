@@ -160,7 +160,7 @@ class TestMatrix:
 
     def test_quadrature_path_matches_recursion_on_aligned_case(self, bases):
         # cross-check of the two code paths: the rotated-coordinate quadrature,
-        # at the order the doubling loop ends on (4 n_max + 8), on an aligned
+        # at order 4 n_max + 8 (far above the exact 2 n_max + 1), on an aligned
         # problem with a ~2x frequency mismatch
         ground = bases((0.0, 0.0))
         excited = bases((-2.0e9, -2.0e9))
@@ -280,8 +280,9 @@ class TestMatrix:
         assert peak <= 2.5e6
 
     def test_unconverged_quadrature_raises(self, bases, monkeypatch):
-        # entries that move by the order itself never settle under doubling;
-        # the loop must stop at its order cap and raise, not return them
+        # entries that move by the order itself disagree between the two
+        # exact orders; fc_matrix must raise, not return them, after
+        # evaluating exactly orders 2 n_max + 1 and 2 n_max + 2
         orders = []
 
         def never_converges(ground, excited, n_max, order):
@@ -292,4 +293,17 @@ class TestMatrix:
         ground = bases((0.0, 0.0))
         with pytest.raises(ToleranceFailure):
             fc_matrix(ground, bases((-1e5, 0.0)), n_max=2)
-        assert orders[-1] > 128 * 3 and orders[-2] > 64 * 3
+        assert orders == [5, 6]
+
+    def test_order_shortfall_is_caught(self, bases, monkeypatch):
+        # a rule one order below the one asked for makes the smaller order
+        # inexact (test_start_order_is_exact's case), which must not pass
+        quadrature = franck_condon._quadrature_fc
+
+        def one_short(ground, excited, n_max, order):
+            return quadrature(ground, excited, n_max, order - 1)
+
+        monkeypatch.setattr(franck_condon, "_quadrature_fc", one_short)
+        ground = bases((0.0, 0.0))
+        with pytest.raises(ToleranceFailure):
+            fc_matrix(ground, bases((-1e9, 0.0)), n_max=6)

@@ -91,7 +91,7 @@ class TestAdiabaticEnergies:
             adiabatic_energies_closed_form(1.0, 0.0, 0.0)
 
     def test_matches_eigvalsh_of_symmetric_block(self):
-        # seeded ensemble over the optimizer's default bracket
+        # seeded ensemble over the optimizer's scan range
         # delta0 in [1e-3, 50] omega0, at every point of the pulse
         rng = np.random.default_rng(20260809)
         omega0 = TWO_PI * 0.5
@@ -162,10 +162,11 @@ class TestEntanglingPhase:
         design = entangling_phase(p, 0.0)
         assert abs(design.phi_ent) < 0.05
 
-    def test_quadrature_convergence(self):
+    def test_quadrature_convergence(self, monkeypatch):
         p = reference_pulse()
-        a = entangling_phase(p, REF_BLOCKADE, quad_tol=1e-8)
-        b = entangling_phase(p, REF_BLOCKADE, quad_tol=5e-9)
+        a = entangling_phase(p, REF_BLOCKADE)
+        monkeypatch.setattr(gate, "QUAD_ABS_TOL", 5e-9)
+        b = entangling_phase(p, REF_BLOCKADE)
         assert abs(a.phi_ent - b.phi_ent) < 1e-7
 
     def test_monotone_in_blockade(self):
@@ -200,8 +201,8 @@ class TestPhasePrimitive:
 
     @pytest.mark.parametrize("b_mhz", [0.0, 2.5, 10.0])
     def test_phases_match_tight_quadrature(self, b_mhz):
-        # the default optimizer bracket [1e-3, 50] omega0 and the wider
-        # [5e-4, 100] omega0 of test_bracket_robustness
+        # the optimizer's scan range [1e-3, 50] omega0, widened to
+        # [5e-4, 100] omega0
         omega0 = TWO_PI * 0.5
         for ratio in np.geomspace(5e-4, 100.0, 9):
             p = PulseShape(omega0, ratio * omega0, 60.0)
@@ -213,8 +214,7 @@ class TestPhasePrimitive:
     def test_vectorized_scan_equals_scalar_calls(self):
         omega0 = TWO_PI * 0.5
         grid = np.geomspace(1e-3 * omega0, 50 * omega0, 40)
-        scan, _ = gate._accumulated_phases(omega0, grid, 60.0, REF_BLOCKADE,
-                                           gate.QUAD_ABS_TOL)
+        scan, _ = gate._accumulated_phases(omega0, grid, 60.0, REF_BLOCKADE)
         for column, delta0 in zip(scan.T, grid):
             design = entangling_phase(PulseShape(omega0, delta0, 60.0), REF_BLOCKADE)
             assert abs(column[0] - design.phi_dd) <= 1e-15 * abs(design.phi_dd)
@@ -224,11 +224,11 @@ class TestPhasePrimitive:
     def test_trace_is_the_antiderivative(self, ratio):
         p = PulseShape(TWO_PI * 0.5, ratio * TWO_PI * 0.5, 60.0)
         design = entangling_phase(p, REF_BLOCKADE)
-        times, phi_dd, phi_de, phi_ent = phase_trace(p, REF_BLOCKADE, n_points=13)
+        times, phi_dd, phi_de, phi_ent = phase_trace(p, REF_BLOCKADE)
         assert (phi_dd[0], phi_de[0]) == (0.0, 0.0)
         assert (phi_dd[-1], phi_de[-1], phi_ent[-1]) == (
             design.phi_dd, design.phi_de, design.phi_ent)
-        for i in (1, 3, 6, 10, 11):
+        for i in (17, 50, 100, 167, 183):
             direct = self.quad_phases(p, REF_BLOCKADE, t_end=times[i])
             assert abs(phi_dd[i] - direct[0]) <= 1e-10
             assert abs(phi_de[i] - direct[1]) <= 1e-10
@@ -281,16 +281,11 @@ class TestOptimizePulse:
         with pytest.raises(NoRoot):
             optimize_pulse(0.0, 60.0, REF_BLOCKADE)
 
-    def test_bracket_robustness(self):
-        om = TWO_PI * 0.5
-        a = optimize_pulse(om, 60.0, REF_BLOCKADE, bracket=(1e-3 * om, 50 * om))
-        b = optimize_pulse(om, 60.0, REF_BLOCKADE, bracket=(5e-4 * om, 100 * om))
-        assert a == pytest.approx(b, rel=1e-9)
-
     def test_no_sign_change(self):
+        # without blockade phi_ent is 0 at every delta0, never pi
+        assert entangling_phase(reference_pulse(), 0.0).phi_ent == 0.0
         with pytest.raises(NoRoot):
-            optimize_pulse(TWO_PI * 0.5, 60.0, REF_BLOCKADE,
-                           bracket=(TWO_PI * 5.0, TWO_PI * 50.0))
+            optimize_pulse(TWO_PI * 0.5, 60.0, 0.0)
 
 
 class TestDiagnostics:
@@ -315,13 +310,13 @@ class TestDiagnostics:
     def test_phase_trace_against_direct_quadrature(self):
         # independent oracle: cumulative quad to a few interior times
         p = reference_pulse()
-        times, phi_dd, _, _ = phase_trace(p, REF_BLOCKADE, n_points=7)
+        times, phi_dd, _, _ = phase_trace(p, REF_BLOCKADE)
 
         def integrand(t):
             om, e = pulse_at(t, p)
             return adiabatic_energies(om, e, REF_BLOCKADE)[0]
 
-        for i in (2, 4, 6):
+        for i in (67, 133, 200):
             direct, _ = quad(integrand, 0, times[i], epsabs=1e-11, epsrel=1e-12)
             assert phi_dd[i] == pytest.approx(direct, abs=1e-7)
 

@@ -63,8 +63,7 @@ def test_separation_matches_direct_constant_arithmetic():
 
 def test_geometry_symmetry_and_unit_vector():
     geom = equilibrium_geometry(ca40_trap())
-    assert geom.z1_bar == -geom.z2_bar
-    assert geom.n12 in ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
+    assert geom.r0 == 2.0 * geom.z2_bar
 
 
 def test_scaling_beta_by_8_halves_z2():
