@@ -15,16 +15,19 @@ nph = n_phonon_max + 1, 4 nph of them from |DD,0> and 2 nph from |DE,0>
 (4 and 2 at eta = 0). The two sets are disjoint, so entangling_phase_dynamic integrates both gate
 runs in one adaptive high-order Runge-Kutta solve, with the sin^2 pulse
 evaluated inline.
+
+The stepper is the package's own DOP853 (rydgate._dop853). It takes the same
+steps as SciPy 1.17's solve_ivp(method="DOP853") and returns the same bits,
+so states, phases and RHS counts equal those of a SciPy solve.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import block_diag
 
-from .errors import DomainError, ToleranceFailure, ValidationError
+from ._dop853 import dop853
+from .errors import DomainError, ValidationError
 from .gate import PulseShape, pulse_at, wrap_angle
 
 N_ELEC = 3
@@ -86,6 +89,7 @@ class EvolutionTrace:
     norms: np.ndarray
     n_phonon_max: int
     nfev: int = 0  # RHS evaluations of the solve, summed over segments
+    steps: int = 0  # accepted integrator steps, summed over segments
 
 
 def basis_index(e1: int, e2: int, n: int, n_phonon_max: int) -> int:
@@ -155,7 +159,8 @@ def _propagate(cfg: SimConfig, initial, drive=None):
     pulse is evaluated inline; a custom drive(t) -> (Omega_-, E_-) with a
     `breakpoints` attribute is integrated segment by segment. Returns the
     output times, the full-basis states (n_output, dim) of each initial
-    state, and the number of RHS evaluations.
+    state, the number of RHS evaluations and the accepted steps. Raises
+    ToleranceFailure when the step size underflows, as it does on a NaN drive.
     """
     h0, h_det, h_rabi = _operators(cfg)
     parts = [_reachable(psi, h_rabi != 0) for psi in initial]  # H0, H_det are diagonal
@@ -164,9 +169,14 @@ def _propagate(cfg: SimConfig, initial, drive=None):
     # reached components
     d0 = -1j * np.diag(h0)[idx]
     d_det = -1j * np.diag(h_det)[idx]
-    r = -1j * block_diag(*(h_rabi[np.ix_(p, p)] for p in parts))
+    r = np.zeros((idx.size, idx.size), dtype=complex)
+    offset = 0
+    for p in parts:
+        r[offset:offset + p.size, offset:offset + p.size] = h_rabi[np.ix_(p, p)]
+        offset += p.size
+    r = -1j * r
     y = np.concatenate([psi[p] for psi, p in zip(initial, parts)])
-    # solve_ivp's error norm is an RMS over components; rescaling the
+    # DOP853's error norm is an RMS over components; rescaling the
     # tolerances by sqrt(full / reduced) keeps the step control of a
     # full-basis solve, in which the unreached components weigh in as zeros
     scale = np.sqrt(len(initial) * cfg.dim / idx.size)
@@ -184,7 +194,7 @@ def _propagate(cfg: SimConfig, initial, drive=None):
     edges = [0.0] + breaks + [tau]
     out = np.empty((cfg.n_output, idx.size), dtype=complex)
     out[0] = y
-    nfev = 0
+    nfev = steps = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
         # keep Runge-Kutta stage evaluations strictly inside the segment, so
         # right-continuous piecewise drives are integrated exactly
@@ -198,13 +208,12 @@ def _propagate(cfg: SimConfig, initial, drive=None):
         t_eval = times[rows]
         if not rows.size or t_eval[-1] != hi:
             t_eval = np.append(t_eval, hi)
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=cfg.rtol * scale,
-                        atol=cfg.atol * scale, t_eval=t_eval)
-        if not sol.success:
-            raise ToleranceFailure(f"integrator failed on [{lo}, {hi}]: {sol.message}")
-        out[rows] = sol.y[:, :rows.size].T
-        y = sol.y[:, -1]
-        nfev += sol.nfev
+        sampled, seg_nfev, seg_steps = dop853(rhs, lo, hi, y, cfg.rtol * scale,
+                                              cfg.atol * scale, t_eval)
+        out[rows] = sampled[:rows.size]
+        y = sampled[-1]
+        nfev += seg_nfev
+        steps += seg_steps
 
     states, offset = [], 0
     for p in parts:
@@ -212,10 +221,10 @@ def _propagate(cfg: SimConfig, initial, drive=None):
         full[:, p] = out[:, offset:offset + p.size]
         states.append(full)
         offset += p.size
-    return times, states, nfev
+    return times, states, nfev, steps
 
 
-def _trace(cfg: SimConfig, times, states, psi0, nfev) -> EvolutionTrace:
+def _trace(cfg: SimConfig, times, states, psi0, nfev, steps) -> EvolutionTrace:
     nph = cfg.n_phonon_max + 1
     blocks = states.reshape(cfg.n_output, N_ELEC, N_ELEC, nph)
     pops = np.sum(np.abs(blocks) ** 2, axis=3)
@@ -229,6 +238,7 @@ def _trace(cfg: SimConfig, times, states, psi0, nfev) -> EvolutionTrace:
         norms=np.linalg.norm(states, axis=1),
         n_phonon_max=cfg.n_phonon_max,
         nfev=nfev,
+        steps=steps,
     )
 
 
@@ -247,8 +257,8 @@ def evolve(cfg: SimConfig, psi0: np.ndarray = None, drive=None) -> EvolutionTrac
         raise DomainError(f"psi0 must have shape ({cfg.dim},)")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise DomainError("psi0 must be normalized")
-    times, (states,), nfev = _propagate(cfg, [psi0], drive)
-    return _trace(cfg, times, states, psi0, nfev)
+    times, (states,), nfev, steps = _propagate(cfg, [psi0], drive)
+    return _trace(cfg, times, states, psi0, nfev, steps)
 
 
 def loss_probability(trace: EvolutionTrace, tau0: float) -> float:
@@ -282,13 +292,13 @@ def entangling_phase_dynamic(cfg: SimConfig) -> dict:
     rydgate.gate, so each is minus the argument of its final amplitude
     (an adiabatic amplitude evolves as exp(-i integral E dt));
     phi_ent_dynamic = phi_dd - 2 phi_de wrapped to (-pi, pi]. Both states
-    are integrated in one solve, so both traces report its nfev.
+    are integrated in one solve, so both traces report its nfev and steps.
     """
     psi_dd = initial_state(cfg, "DD", 0)
     psi_de = initial_state(cfg, "DE", 0)
-    times, (states_dd, states_de), nfev = _propagate(cfg, [psi_dd, psi_de])
-    trace_dd = _trace(cfg, times, states_dd, psi_dd, nfev)
-    trace_de = _trace(cfg, times, states_de, psi_de, nfev)
+    times, (states_dd, states_de), nfev, steps = _propagate(cfg, [psi_dd, psi_de])
+    trace_dd = _trace(cfg, times, states_dd, psi_dd, nfev, steps)
+    trace_de = _trace(cfg, times, states_de, psi_de, nfev, steps)
     i_dd = basis_index(IDX_D, IDX_D, 0, cfg.n_phonon_max)
     i_de = basis_index(IDX_D, IDX_E, 0, cfg.n_phonon_max)
     phi_dd = -float(np.angle(trace_dd.states[-1, i_dd]))

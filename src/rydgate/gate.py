@@ -20,7 +20,6 @@ reference design it is 0.07 rad away from the exact phase.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (DomainError, NoRoot, SingularDenominator, ToleranceFailure,
                      ValidationError)
@@ -29,6 +28,7 @@ QUAD_ABS_TOL = 1e-8  # rad, last change of the accumulated phases on node doubli
 MAX_NODES = 2**17  # trapezoid nodes per pulse before ToleranceFailure
 EIG_STEP_RTOL = 1e-7  # relative size of the last Newton step; about its square remains
 EIG_MAX_STEPS = 50
+BRENT_XTOL, BRENT_RTOL, BRENT_MAX_ITER = 1e-14, 8.9e-16, 100  # root polish in optimize_pulse
 _TINY = np.finfo(float).tiny  # keeps the all-zero block at 0 instead of 0/0
 
 
@@ -235,12 +235,60 @@ def phase_trace(p: PulseShape, blockade: float):
     return times, phi_dd, phi_de, wrap_angle(phi_dd - 2.0 * phi_de)
 
 
+def _brent(f, xpre, xcur, fpre, fcur):
+    """Root of f bracketed by [xpre, xcur], given f there; returns (root, f(root)).
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4) as SciPy's brentq.c writes it, operation for operation, at
+    xtol = BRENT_XTOL and rtol = BRENT_RTOL: from the same end values it
+    visits the same points and returns the same root as SciPy's brentq.
+    Raises NoRoot after BRENT_MAX_ITER iterations.
+    """
+    if fpre == 0:
+        return xpre, fpre
+    if fcur == 0:
+        return xcur, fcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoRoot(f"Brent's method did not converge in {BRENT_MAX_ITER} iterations")
+
+
 def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
     """Detuning scale delta0 at which the pulse accumulates phi_ent = pi.
 
     Scans [1e-3, 50] * omega0 for a sign change of the unwrapped phi_ent - pi,
-    then polishes with Brent's method to |phi_ent - pi| < 1e-6. Raises NoRoot
-    for a flat objective (omega0 = 0) or when the scan finds no sign change.
+    then polishes with Brent's method, starting from the scan's end values,
+    to |phi_ent - pi| < 1e-6. Raises NoRoot for a flat objective
+    (omega0 = 0) or when the scan finds no sign change.
     """
     if omega0 <= 0.0:
         raise NoRoot("phase is independent of delta0 when omega0 = 0")
@@ -255,8 +303,8 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
         if fa == 0.0:
             return float(a)
         if fa * fb < 0.0:
-            root = brentq(lambda d: float(objective(d)[0]), a, b, xtol=1e-14, rtol=8.9e-16)
-            if abs(objective(root)[0]) >= 1e-6:
+            root, f_root = _brent(lambda d: float(objective(d)[0]), a, b, fa, fb)
+            if abs(f_root) >= 1e-6:
                 raise NoRoot("root polish did not reach the phase tolerance")
             return float(root)
     raise NoRoot("no sign change of phi_ent - pi inside [1e-3, 50] * omega0")
