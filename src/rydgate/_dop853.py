@@ -1,15 +1,26 @@
-"""Adaptive Dormand-Prince 8(5,3) integrator with dense output on requested times.
+"""Adaptive Dormand-Prince 8(5,3) stepper for the gate's linear Schroedinger system.
 
 DOP853 of Hairer, Norsett & Wanner, Solving Ordinary Differential Equations
-I (2nd ed.), Sec. II.10. The loop repeats SciPy 1.17's
-solve_ivp(method="DOP853", t_eval=...) floating-point operation for
+I (2nd ed.), Sec. II.10, for the one ODE the package solves,
+
+    y' = (d0 + E(t) d_det) * y + Omega(t) (R @ y),   (Omega(t), E(t)) = drive(t),
+
+with diagonals d0, d_det and a constant matrix R. The loop repeats SciPy
+1.17's solve_ivp(method="DOP853", t_eval=...) on the right-hand side
+(d0 + E * d_det) * y + Omega * (R @ y) floating-point operation for
 operation: the same tableau literals, initial-step selection, step-size law,
-error norm and dense output, called in the same order on arrays of the same
-layout. It therefore takes the same steps and returns the same bits. The one
-departure is a NaN step size, which stops the loop with ToleranceFailure
-instead of rejecting steps forever.
+error norm and dense output, with every numpy call made on the same operands
+in the same order. It therefore takes the same steps and returns the same
+bits. The one departure is a NaN step size, which stops the loop with
+ToleranceFailure instead of rejecting steps forever.
+
+Only the call overhead differs. Each attempt evaluates the drive at its 12
+stage times in Python floats and forms the 12 stage diagonals in two ufunc
+calls; each stage is then seven numpy calls writing into preallocated
+buffers, and the time arithmetic stays in Python floats.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +32,7 @@ N_STAGES_EXTENDED = 16  # plus f at the step's end and three stages for the dens
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10  # step-size law
 ERROR_EXPONENT = -1 / 8  # the error estimator is of order 7
 EPS = np.finfo(float).eps
+RTOL_FLOOR = 100 * EPS  # SciPy's smallest rtol; SimConfig and the config file reject less
 
 _C = np.array([
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
@@ -113,8 +125,6 @@ def _from_entries(rows, shape):
 
 
 _A_EXT = _from_entries(_A_ROWS, (N_STAGES_EXTENDED, N_STAGES_EXTENDED))
-A, C = _A_EXT[:N_STAGES, :N_STAGES], _C[:N_STAGES]
-A_EXTRA, C_EXTRA = _A_EXT[N_STAGES + 1:], _C[N_STAGES + 1:]
 B = _A_EXT[N_STAGES, :N_STAGES]
 E5 = np.array([  # weights of the 5th-order error estimate
     0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
@@ -126,86 +136,115 @@ E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.7338466882816118573413617
                    0.220588235294117647058823529412e-1]
 D = _from_entries(dict(enumerate(_D_ROWS)), (len(_D_ROWS), N_STAGES_EXTENDED))
 
+# The tables as the loop consumes them. np.dot casts real weights to the
+# complex state's dtype, so casting once here leaves every product unchanged.
+# Stage s weighs K[:s] with row s; row N_STAGES is B and its node 1.0, so the
+# new state and f at the step's end are the last stage of an attempt, and
+# stages N_STAGES + 1.. are the dense output's.
+_STAGE_A = [None] + [_A_EXT[s, :s].astype(complex) for s in range(1, N_STAGES_EXTENDED)]
+_NODES = _C.tolist()
+_E5, _E3, _D = E5.astype(complex), E3.astype(complex), D.astype(complex)
+
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t1, f0, rtol, atol):
-    """First step size from the local behaviour of the solution (Hairer et al., Sec. II.4)."""
+def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
+    """Integrate y' = (d0 + E d_det) * y + Omega (r @ y) from t0 to t1 > t0; sample y on t_eval.
+
+    d0, d_det and y0 are complex 1-D arrays of one length n, r is a complex
+    (n, n) array, and drive(t) -> (Omega, E) is evaluated at stage times
+    clamped to [t0, drive_end], drive_end <= t1. t_eval is
+    increasing inside [t0, t1]. rtol is raised to RTOL_FLOOR, with a
+    warning, when it is below. Each accepted step that passes times of
+    t_eval evaluates its dense output there, so a state at t1 is
+    interpolated too. Returns (states (len(t_eval), n), a new array; the
+    number of right-hand-side evaluations; accepted steps). y0 is not
+    written. Raises ToleranceFailure when the step size falls below 10 ulp
+    of t.
+    """
+    if rtol < RTOL_FLOOR:
+        warnings.warn(f"rtol {rtol:.3g} is below 100 eps; using {RTOL_FLOOR:.3g}", stacklevel=2)
+        rtol = RTOL_FLOOR
+    m = y0.size
+    K_ext = np.empty((N_STAGES_EXTENDED, m), dtype=complex)  # stage derivatives
+    K_rows, K_T = list(K_ext), [K_ext[:s].T for s in range(N_STAGES_EXTENDED)]
+    diag = np.empty((N_STAGES_EXTENDED, m), dtype=complex)  # d0 + E d_det of each stage
+    diag_rows = list(diag)
+    # (Omega, E) of each stage slot and the step size, held complex: numpy
+    # casts a Python float operand to exactly these values, so the products
+    # keep their bits, and the 0-d views skip that per-call conversion
+    drv = np.empty((N_STAGES_EXTENDED, 2), dtype=complex)
+    omega, e_col = [drv[s, 0, ...] for s in range(N_STAGES_EXTENDED)], drv[:, 1:]
+    h_c = np.empty((), dtype=complex)
+    tmp = np.empty(m, dtype=complex)
+
+    def drive_at(first, times):
+        """Drive at the given times into the stage slots first, first + 1, ..."""
+        stop = first + len(times)
+        # min/max are called only for a time outside [t0, drive_end]; inside, they return t
+        drv[first:stop] = [drive(t if t0 <= t <= drive_end else min(max(t, t0), drive_end))
+                           for t in times]
+        rows = diag[first:stop]
+        np.multiply(e_col[first:stop], d_det, out=rows)
+        np.add(d0, rows, out=rows)
+
+    def rhs(s, y_in, out):
+        """out = (d0 + E d_det) * y_in + Omega (r @ y_in) with the drive of slot s."""
+        # operands keep this order: numpy's complex products are not bitwise commutative
+        np.matmul(r, y_in, out=out)
+        np.multiply(omega[s], out, out=out)
+        np.multiply(diag_rows[s], y_in, out=tmp)
+        np.add(tmp, out, out=out)
+
+    def stages(first, stop, t, h, y, y_in):
+        """Stages first..stop-1 of the step h from (t, y) into K_ext; y_in ends as the last input."""
+        drive_at(first, [t + _NODES[s] * h for s in range(first, stop)])
+        h_c[()] = h
+        for s in range(first, stop):
+            K_T[s].dot(_STAGE_A[s], out=y_in)
+            np.multiply(y_in, h_c, out=y_in)
+            np.add(y, y_in, out=y_in)
+            rhs(s, y_in, K_rows[s])
+
+    # the state rotates through three buffers: y, y_old, and y_new, which
+    # holds stage inputs and, after the last stage of an attempt, the new state
+    y, y_new, y_old = y0.copy(), np.empty(m, dtype=complex), np.empty(m, dtype=complex)
+    f = np.empty(m, dtype=complex)
+    drive_at(0, [t0])
+    rhs(0, y, f)
+
+    # first step size from the local behaviour of the solution (Hairer et al., Sec. II.4)
     interval_length = abs(t1 - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    scale = atol + np.abs(y) * rtol
+    d_0 = _rms(y / scale)
+    d_1 = _rms(f / scale)
+    h0 = 1e-6 if d_0 < 1e-5 or d_1 < 1e-5 else 0.01 * d_0 / d_1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
+    drive_at(0, [t0 + h0])
+    np.multiply(h0, f, out=y_new)
+    np.add(y, y_new, out=y_new)
+    f1 = K_rows[0]  # unused until the first attempt sets K[0] = f
+    rhs(0, y_new, f1)
+    d_2 = _rms((f1 - f) / scale) / h0
+    if d_1 <= 1e-15 and d_2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
-    return min(100 * h0, h1, interval_length)
+        h1 = (0.01 / max(d_1, d_2)) ** -ERROR_EXPONENT
+    h_abs = float(min(100 * h0, h1, interval_length))
 
-
-def _error_norm(K, h, scale):
-    """RMS of the 5th-order error estimate, damped by the 3rd-order one."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
-def _interpolate(fun, K_ext, t_old, h, y_old, y, f, t):
-    """States (len(t), n) on the 7th-degree dense output of the step [t_old, t_old + h]."""
-    for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
-        dy = np.dot(K_ext[:s].T, a[:s]) * h
-        K_ext[s] = fun(t_old + c * h, y_old + dy)
-    F = np.empty((3 + len(D), y.size), dtype=y.dtype)
-    f_old = K_ext[0]
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K_ext)
-    x = ((t - t_old) / h)[:, None]
-    out = np.zeros((len(x), y.size), dtype=y.dtype)
-    for i, coeff in enumerate(reversed(F)):
-        out += coeff
-        if i % 2 == 0:
-            out *= x
-        else:
-            out *= 1 - x
-    out += y_old
-    return out
-
-
-def dop853(fun, t0, t1, y0, rtol, atol, t_eval):
-    """Integrate dy/dt = fun(t, y) from t0 to t1 > t0 and sample y on t_eval.
-
-    y0 is a 1-D array (real or complex); t_eval is increasing inside
-    [t0, t1]. rtol is raised to 100 eps, with a warning, when it is below.
-    Each accepted step that passes times of t_eval evaluates its dense
-    output there, so a state at t1 is interpolated too. Returns (states
-    (len(t_eval), n), number of fun calls, accepted steps). Raises
-    ToleranceFailure when the step size falls below 10 ulp of t.
-    """
-    if rtol < 100 * EPS:
-        warnings.warn(f"rtol {rtol:.3g} is below 100 eps; using {100 * EPS:.3g}", stacklevel=2)
-        rtol = 100 * EPS
-    f = fun(t0, y0)
-    h_abs = _initial_step(fun, t0, y0, t1, f, rtol, atol)
+    t_eval_list = t_eval.tolist()
+    out = np.empty((len(t_eval), m), dtype=complex)
+    abs_y, abs_new = np.abs(y), np.empty(m)
+    err5, err3 = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
+    err5_re, err5_im, err3_re, err3_im = err5.real, err5.imag, err3.real, err3.imag
+    F = np.empty((3 + len(D), m), dtype=complex)  # dense-output coefficients
+    F_reversed = F[::-1]
     nfev, steps, i_eval = 2, 0, 0
-    K_ext = np.empty((N_STAGES_EXTENDED, y0.size), dtype=y0.dtype)
-    K = K_ext[:N_STAGES + 1]
-    out = np.empty((len(t_eval), y0.size), dtype=y0.dtype)
-    t, y = t0, y0
+    t = t0
     while t < t1:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -216,19 +255,30 @@ def dop853(fun, t0, t1, y0, rtol, atol, t_eval):
             if t_new - t1 > 0:
                 t_new = t1
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
-            K[0] = f
-            for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-                dy = np.dot(K[:s].T, a[:s]) * h
-                K[s] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
+            K_rows[0][:] = f
+            stages(1, N_STAGES + 1, t, h, y, y_new)
             nfev += N_STAGES
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            # error norm: RMS of the 5th-order estimate, damped by the 3rd-order one
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            np.multiply(scale, rtol, out=scale)
+            np.add(atol, scale, out=scale)
+            K_T[N_STAGES + 1].dot(_E5, out=err5)
+            np.divide(err5, scale, out=err5)
+            K_T[N_STAGES + 1].dot(_E3, out=err3)
+            np.divide(err3, scale, out=err3)
+            # np.linalg.norm of a complex vector: sqrt(re . re + im . im)
+            err5_norm_2 = math.sqrt(err5_re.dot(err5_re) + err5_im.dot(err5_im)) ** 2
+            err3_norm_2 = math.sqrt(err3_re.dot(err3_re) + err3_im.dot(err3_im)) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * m)
+
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -241,13 +291,37 @@ def dop853(fun, t0, t1, y0, rtol, atol, t_eval):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
 
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t_old, t = t, t_new
+        y_old, y, y_new = y, y_new, y_old
+        abs_y, abs_new = abs_new, abs_y
+        f[:] = K_rows[N_STAGES]
         steps += 1
-        i_new = np.searchsorted(t_eval, t, side="right")
+        i_new = i_eval
+        while i_new < len(t_eval_list) and t_eval_list[i_new] <= t:
+            i_new += 1
         if i_new > i_eval:
-            out[i_eval:i_new] = _interpolate(fun, K_ext, t_old, h, y_old, y, f,
-                                             t_eval[i_eval:i_new])
-            nfev += len(A_EXTRA)
+            # 7th-degree dense output of [t_old, t] at the passed times
+            stages(N_STAGES + 1, N_STAGES_EXTENDED, t_old, h, y_old, y_new)
+            nfev += N_STAGES_EXTENDED - N_STAGES - 1
+            f_old = K_rows[0]
+            np.subtract(y, y_old, out=F[0])
+            np.multiply(h_c, f_old, out=F[1])
+            np.subtract(F[1], F[0], out=F[1])
+            np.add(f, f_old, out=tmp)
+            np.multiply(h_c, tmp, out=tmp)
+            np.multiply(2, F[0], out=F[2])
+            np.subtract(F[2], tmp, out=F[2])
+            _D.dot(K_ext, out=F[3:])
+            np.multiply(h_c, F[3:], out=F[3:])
+            x = ((t_eval[i_eval:i_new] - t_old) / h)[:, None]
+            dense = out[i_eval:i_new]
+            dense[...] = 0
+            for i, coeff in enumerate(F_reversed):
+                dense += coeff
+                if i % 2 == 0:
+                    dense *= x
+                else:
+                    dense *= 1 - x
+            dense += y_old
             i_eval = i_new
     return out, nfev, steps

@@ -10,6 +10,7 @@ yields the all-defaults configuration.
 import configparser
 from dataclasses import dataclass, fields
 
+from ._dop853 import RTOL_FLOOR
 from .constants import ATOMIC_MASS, CA40_MASS, E_CHARGE, TWO_PI, mhz
 from .dressing import D1_DEFAULT, MWDrive, POL_P_DEFAULT, POL_S_DEFAULT
 from .dynamics import SimConfig
@@ -155,7 +156,7 @@ _RANGES = {
     "omega0_mhz": (lambda v: v >= 0, "must be >= 0"),
     "blockade_mhz": (lambda v: v >= 0, "must be >= 0"),
     "n_phonon_max": (lambda v: v >= 1, "must be >= 1"),
-    "rtol": (lambda v: 0 < v <= 1e-3, "must lie in (0, 1e-3]"),
+    "rtol": (lambda v: RTOL_FLOOR <= v <= 1e-3, f"must lie in [{RTOL_FLOOR:.3g}, 1e-3]"),
     "atol": (lambda v: 0 < v <= 1e-3, "must lie in (0, 1e-3]"),
     "n_output": (lambda v: v >= 2, "must be >= 2"),
     "tau0_us": (lambda v: v > 0, "must be > 0"),

@@ -65,6 +65,12 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="omega_mhz"):
             load_config(path)
 
+    def test_rtol_below_stepper_floor_rejected(self, tmp_path):
+        path = tmp_path / "tight.cfg"
+        path.write_text("[simulation]\nrtol = 1e-15\n")
+        with pytest.raises(ValidationError, match="rtol"):
+            load_config(path)
+
     def test_negative_mw_rabi_rejected_by_name(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[dressing]\nomega_mw_mhz = -1\n")
@@ -205,6 +211,14 @@ class TestCLI:
         bad.write_text("[dressing]\nomega_mw_mhz = -1\n")
         assert main(["dress", "--config", str(bad)]) == 2
         assert "omega_mw_mhz" in capsys.readouterr().err
+
+    def test_rtol_below_stepper_floor_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "tight.cfg"
+        bad.write_text("[simulation]\nrtol = 1e-15\n")
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--config", str(bad), "--output", str(out)]) == 2
+        assert "rtol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # schema-valid trap that fails radial confinement

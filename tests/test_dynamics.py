@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -15,7 +17,7 @@ from rydgate import (
     phonon_excitation,
     wrap_angle,
 )
-from rydgate.dynamics import basis_index
+from rydgate.dynamics import RTOL_FLOOR, basis_index
 from rydgate.errors import DomainError, ValidationError
 
 TWO_PI = 2 * np.pi
@@ -210,6 +212,18 @@ class TestEvolve:
             reference_config(rtol=1e-2)
         with pytest.raises(ValidationError):
             reference_config(atol=0.0)
+
+    def test_rtol_below_stepper_floor_rejected(self):
+        # the stepper would raise such an rtol to its floor with only a warning
+        with pytest.raises(ValidationError, match="rtol"):
+            reference_config(rtol=1e-15)
+        with pytest.raises(ValidationError, match="rtol"):
+            reference_config(rtol=np.nextafter(RTOL_FLOOR, 0.0))
+        cfg = reference_config(rtol=RTOL_FLOOR, n_phonon_max=1, n_output=3,
+                               pulse=PulseShape(TWO_PI * 0.5, TWO_PI * 0.639, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolve(cfg)
 
 
 class TestReducedKernel:

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from rydgate import PulseShape, SimConfig, entangling_phase_dynamic, evolve, gate, optimize_pulse
-from rydgate import dynamics
+from rydgate import cli, dynamics
 from rydgate._dop853 import N_STAGES, dop853
 from rydgate.errors import ToleranceFailure
 
@@ -27,9 +27,18 @@ TWO_PI = 2 * np.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def scipy_dop853(fun, t0, t1, y0, rtol, atol, t_eval):
-    """dop853's contract met by solve_ivp; it does not report accepted steps."""
-    sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
+def scipy_dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
+    """dop853's contract met by solve_ivp; it does not report accepted steps.
+
+    The right-hand side is the package's former closure, operation for
+    operation, so bitwise equality with it shows that the linear stepper
+    changed no floating-point operation.
+    """
+    def rhs(t, y):
+        omega_minus, e_minus = drive(min(max(t, t0), drive_end))
+        return (d0 + e_minus * d_det) * y + omega_minus * (r @ y)
+
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
     assert sol.success
     return sol.y.T, sol.nfev, 0
 
@@ -41,17 +50,42 @@ def gate_config(**overrides):
     return SimConfig(**params)
 
 
+def assert_gate_solve_equals_scipy(cfg, monkeypatch):
+    ours = entangling_phase_dynamic(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "dop853", scipy_dop853)
+        ref = entangling_phase_dynamic(cfg)
+    for key in ("trace_dd", "trace_de"):
+        assert np.array_equal(ours[key].states, ref[key].states)
+        assert ours[key].nfev == ref[key].nfev
+    for key in ("phi_dd_dynamic", "phi_de_dynamic", "phi_ent_dynamic"):
+        assert ours[key] == ref[key]
+
+
+# a damped two-level system with a narrow kick in E at t = 6 after a quiet
+# stretch: steps grown on the quiet part overshoot the kick and are rejected.
+# The gate's diagonals are imaginary, which makes (d0 + E d_det) * y exact
+# in either operand order; the damping here makes the order count.
+KICK_SYSTEM = (np.array([-0.02 - 0.1j, -0.01 - 0.3j]), np.array([-40j, -40j]),
+               np.array([[0.0, -1j], [-1j, 0.0]]))
+
+
+def kick_drive(t):
+    return 0.2 * math.cos(0.3 * t), math.exp(-((t - 6.0) / 0.05) ** 2)
+
+
 class TestDop853:
     def test_reduced_gate_solve_equals_scipy(self, monkeypatch):
-        cfg = gate_config()
-        ours = entangling_phase_dynamic(cfg)
-        monkeypatch.setattr(dynamics, "dop853", scipy_dop853)
-        ref = entangling_phase_dynamic(cfg)
-        for key in ("trace_dd", "trace_de"):
-            assert np.array_equal(ours[key].states, ref[key].states)
-            assert ours[key].nfev == ref[key].nfev
-        for key in ("phi_dd_dynamic", "phi_de_dynamic", "phi_ent_dynamic"):
-            assert ours[key] == ref[key]
+        assert_gate_solve_equals_scipy(gate_config(), monkeypatch)
+
+    @pytest.mark.parametrize("n_phonon_max, eta, tau", [(8, 0.5, 45.0), (4, 0.0, 20.0)])
+    def test_gate_solve_equals_scipy_at_benchmark_corners(self, monkeypatch, n_phonon_max,
+                                                          eta, tau):
+        # the largest state and longest pulse of perfbench gate_dynamics, and
+        # eta = 0, where the reduced blocks are smallest
+        cfg = gate_config(n_phonon_max=n_phonon_max, eta=eta,
+                          pulse=PulseShape(TWO_PI * 0.5, TWO_PI * 0.639, tau))
+        assert_gate_solve_equals_scipy(cfg, monkeypatch)
 
     def test_piecewise_drive_with_breakpoints_equals_scipy(self, monkeypatch):
         cfg = gate_config(n_phonon_max=2, eta=0.5, n_output=31)
@@ -68,43 +102,71 @@ class TestDop853:
         assert ours.nfev == ref.nfev
 
     def test_rejected_steps_equal_scipy(self):
-        # a narrow kick at t = 6 after a quiet stretch: steps grown on the
-        # quiet part overshoot the kick and are rejected
-        def rhs(t, y):
-            return 1j * (0.1 + 40.0 * math.exp(-((t - 6.0) / 0.05) ** 2)) * y
-
         y0 = np.array([1.0, 0.5j], dtype=complex)
         t_eval = np.linspace(0.5, 10.0, 20)
-        states, nfev, steps = dop853(rhs, 0.0, 10.0, y0, 1e-9, 1e-12, t_eval)
-        ref = solve_ivp(rhs, (0.0, 10.0), y0, method="DOP853", rtol=1e-9, atol=1e-12,
-                        t_eval=t_eval)
-        assert np.array_equal(states, ref.y.T)
-        assert nfev == ref.nfev
+        args = (*KICK_SYSTEM, kick_drive, 0.0, 10.0, y0, 1e-9, 1e-12)
+        states, nfev, steps = dop853(*args, t_eval, 10.0)
+        ref, ref_nfev, _ = scipy_dop853(*args, t_eval, 10.0)
+        assert np.array_equal(states, ref)
+        assert nfev == ref_nfev
         # with one sample, nfev = 2 (start) + 12 per attempt + 3 (dense output)
-        _, nfev_end, steps_end = dop853(rhs, 0.0, 10.0, y0, 1e-9, 1e-12, np.array([10.0]))
+        _, nfev_end, steps_end = dop853(*args, np.array([10.0]), 10.0)
         assert steps_end == steps
         attempts, rest = divmod(nfev_end - 5, N_STAGES)
         assert rest == 0 and attempts > steps
 
     def test_tiny_rtol_raised_with_warning_as_in_scipy(self):
-        def rhs(t, y):
-            return -1j * (1.0 + t) * y
-
+        # the floor stays for direct callers; SimConfig rejects such an rtol
+        d0, d_det = np.zeros(2, dtype=complex), np.array([-1j, -1j])
+        r = np.array([[0.0, -0.5j], [-0.5j, 0.0]])
         y0 = np.array([1.0, 0.3j], dtype=complex)
-        t_eval = np.array([0.5, 1.0])
+        args = (d0, d_det, r, lambda t: (0.1, 1.0 + t), 0.0, 1.0, y0, 1e-16, 1e-18,
+                np.array([0.5, 1.0]), 1.0)
         with pytest.warns(UserWarning, match="rtol"):
-            states, nfev, _ = dop853(rhs, 0.0, 1.0, y0, 1e-16, 1e-18, t_eval)
+            states, nfev, _ = dop853(*args)
         with pytest.warns(UserWarning, match="rtol"):
-            ref = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-16, atol=1e-18,
-                            t_eval=t_eval)
-        assert np.array_equal(states, ref.y.T)
-        assert nfev == ref.nfev
+            ref, ref_nfev, _ = scipy_dop853(*args)
+        assert np.array_equal(states, ref)
+        assert nfev == ref_nfev
+
+    def test_buffers_are_not_shared_between_calls(self):
+        # the stepper's returned states are its own array; y0 is only read
+        y0 = np.array([1.0, 0.5j], dtype=complex)
+        first, _, _ = dop853(*KICK_SYSTEM, kick_drive, 0.0, 10.0, y0, 1e-9, 1e-12,
+                             np.linspace(0.5, 10.0, 20), 10.0)
+        kept = first.copy()
+        second, _, _ = dop853(*KICK_SYSTEM, kick_drive, 0.0, 4.0, y0[::-1].copy(), 1e-7, 1e-10,
+                              np.linspace(0.5, 4.0, 20), 4.0)
+        assert np.array_equal(y0, [1.0, 0.5j])
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert first.base is None and second.base is None
 
     def test_steps_reported_on_traces(self):
         dyn = entangling_phase_dynamic(gate_config(n_phonon_max=2))
         trace = dyn["trace_dd"]
         assert dyn["trace_de"].steps == trace.steps > 0
         assert trace.nfev >= 2 + N_STAGES * trace.steps
+
+    def test_second_solve_leaves_first_result_unchanged(self):
+        first = entangling_phase_dynamic(gate_config(n_phonon_max=2))
+        kept = {key: first[key].states.copy() for key in ("trace_dd", "trace_de")}
+        phases = {key: first[key] for key in first if key.startswith("phi")}
+        second = entangling_phase_dynamic(gate_config(n_phonon_max=2, eta=0.1, n_output=51))
+        for key, states in kept.items():
+            assert np.array_equal(first[key].states, states)
+            assert not np.shares_memory(first[key].states, second[key].states)
+        assert {key: first[key] for key in phases} == phases
+
+    def test_cli_evolve_files_equal_scipy_solve(self, tmp_path, monkeypatch):
+        cfg = str(SRC.parent / "configs" / "gate_dynamics.cfg")
+        ours, ref = tmp_path / "ours.csv", tmp_path / "scipy.csv"
+        assert cli.main(["evolve", "--config", cfg, "--output", str(ours)]) == 0
+        monkeypatch.setattr(dynamics, "dop853", scipy_dop853)
+        assert cli.main(["evolve", "--config", cfg, "--output", str(ref)]) == 0
+        assert ours.read_bytes() == ref.read_bytes()
+        summary = Path(f"{ours}.summary.json").read_bytes()
+        assert summary == Path(f"{ref}.summary.json").read_bytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("nan_from", [0.0, 8.0])
