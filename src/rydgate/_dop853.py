@@ -11,8 +11,8 @@ with diagonals d0, d_det and a constant matrix R. The loop repeats SciPy
 operation: the same tableau literals, initial-step selection, step-size law,
 error norm and dense output, with every numpy call made on the same operands
 in the same order. It therefore takes the same steps and returns the same
-bits. The one departure is a NaN step size, which stops the loop with
-ToleranceFailure instead of rejecting steps forever.
+bits. The departures are two stops with ToleranceFailure where SciPy would
+go on: a NaN step size, and more than MAX_ATTEMPTS step attempts in one call.
 
 Only the call overhead differs. Each attempt evaluates the drive at its 12
 stage times in Python floats and forms the 12 stage diagonals in two ufunc
@@ -33,6 +33,7 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10  # step-size law
 ERROR_EXPONENT = -1 / 8  # the error estimator is of order 7
 EPS = np.finfo(float).eps
 RTOL_FLOOR = 100 * EPS  # SciPy's smallest rtol; SimConfig and the config file reject less
+MAX_ATTEMPTS = 100_000  # step attempts per call before ToleranceFailure; gates take 600-4000
 
 _C = np.array([
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
@@ -162,7 +163,7 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     interpolated too. Returns (states (len(t_eval), n), a new array; the
     number of right-hand-side evaluations; accepted steps). y0 is not
     written. Raises ToleranceFailure when the step size falls below 10 ulp
-    of t.
+    of t or after MAX_ATTEMPTS step attempts.
     """
     if rtol < RTOL_FLOOR:
         warnings.warn(f"rtol {rtol:.3g} is below 100 eps; using {RTOL_FLOOR:.3g}", stacklevel=2)
@@ -241,7 +242,7 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     err5_re, err5_im, err3_re, err3_im = err5.real, err5.imag, err3.real, err3.imag
     F = np.empty((3 + len(D), m), dtype=complex)  # dense-output coefficients
     F_reversed = F[::-1]
-    nfev, steps, i_eval = 2, 0, 0
+    nfev, steps, attempts, i_eval = 2, 0, 0, 0
     t = t0
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -251,6 +252,9 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
         while True:
             if not h_abs >= min_step:  # also stops on a NaN step size
                 raise ToleranceFailure(f"DOP853 step size fell below 10 ulp at t = {t}")
+            if attempts == MAX_ATTEMPTS:
+                raise ToleranceFailure(f"DOP853 made {MAX_ATTEMPTS} step attempts by t = {t}")
+            attempts += 1
             t_new = t + h_abs
             if t_new - t1 > 0:
                 t_new = t1

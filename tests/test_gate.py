@@ -29,6 +29,40 @@ def reference_pulse():
 REF_BLOCKADE = TWO_PI * 2.5
 
 
+def ladder_from_16(omega0, delta0, tau, blockade):
+    """Reference phase ladder with one adiabatic_energies call per level, from 16 nodes up.
+
+    Returns (phi, vals) as gate._accumulated_phases does, and the node
+    count at which each row converged.
+    """
+    def energies(d, x):
+        om = omega0 * np.sin(np.pi * x) ** 2
+        e = d[:, None] * (0.5 + np.cos(np.pi * x) ** 2)
+        return np.stack(adiabatic_energies(np.broadcast_to(om, e.shape), e, blockade))
+
+    delta0 = np.atleast_1d(np.asarray(delta0, dtype=float))
+    phi, rows = np.empty((2, delta0.size)), np.arange(delta0.size)
+    nodes = np.zeros(delta0.size, dtype=int)
+    vals = energies(delta0, np.arange(16) / 16)
+    while vals.shape[-1] < gate.MAX_NODES:
+        n = vals.shape[-1]
+        odd = energies(delta0[rows], (np.arange(n) + 0.5) / n)
+        prev = tau * vals.mean(axis=-1)
+        vals = np.stack([vals, odd], axis=-1).reshape(2, rows.size, 2 * n)
+        new = tau * vals.mean(axis=-1)
+        done = np.all(np.abs(new - prev) <= gate.QUAD_ABS_TOL, axis=0)
+        phi[:, rows[done]] = new[:, done]
+        nodes[rows[done]] = 2 * n
+        if done.all():
+            return phi, vals, nodes
+        rows, vals = rows[~done], vals[:, ~done]
+    raise ToleranceFailure("reference ladder not converged")
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
 class TestPulse:
     def test_endpoints(self):
         p = reference_pulse()
@@ -118,6 +152,36 @@ class TestAdiabaticEnergies:
         e_dd0, e_de0 = adiabatic_energies(om, e, 0.0)
         assert np.all(np.abs(e_dd0 - 2 * e_de0)
                       <= 1e-11 * np.abs(e_dd0) + 1e-15 * (np.abs(e) + om))
+
+    def test_batched_entries_equal_entries_alone(self, monkeypatch):
+        # each entry stops on its own Newton step, so batching it with entries
+        # that need more steps leaves its bits; the phase ladder evaluates
+        # nodes ahead of need in one batch and relies on this
+        rng = np.random.default_rng(20261018)
+        omega0 = TWO_PI * 0.5
+        phase = rng.uniform(0.0, np.pi, 60)
+        om = omega0 * np.sin(phase) ** 2
+        e = np.exp(rng.uniform(np.log(5e-4), np.log(100.0), phase.size)) \
+            * omega0 * (0.5 + np.cos(phase) ** 2) * rng.choice([-1.0, 1.0], phase.size)
+        for b in (0.0, REF_BLOCKADE, TWO_PI * 10.0):
+            e_dd, e_de = adiabatic_energies(om, e, b)
+            alone = [adiabatic_energies(om[i:i + 1], e[i:i + 1], b) for i in range(om.size)]
+            assert np.array_equal(bits(e_dd), bits([a[0][0] for a in alone]))
+            assert np.array_equal(bits(e_de), bits([a[1][0] for a in alone]))
+
+        max_steps = gate.EIG_MAX_STEPS
+
+        def newton_steps(i):  # the fewest steps with which entry i alone returns
+            for k in range(1, max_steps + 1):
+                monkeypatch.setattr(gate, "EIG_MAX_STEPS", k)
+                try:
+                    adiabatic_energies(om[i:i + 1], e[i:i + 1], REF_BLOCKADE)
+                    return k
+                except ToleranceFailure:
+                    pass
+
+        steps = [newton_steps(i) for i in range(om.size)]
+        assert None not in steps and len(set(steps)) >= 3
 
     def test_singly_driven_shift_without_cancellation(self):
         # Omega << E_-: the textbook form [E - sqrt(E^2 + Omega^2)] / 2 rounds
@@ -232,6 +296,44 @@ class TestPhasePrimitive:
             direct = self.quad_phases(p, REF_BLOCKADE, t_end=times[i])
             assert abs(phi_dd[i] - direct[0]) <= 1e-10
             assert abs(phi_de[i] - direct[1]) <= 1e-10
+
+    @pytest.mark.parametrize("b_mhz", [0.0, 2.5, 10.0])
+    def test_ladder_keeps_its_bits(self, b_mhz):
+        # the look-ahead to 64 nodes returns what level-by-level calls give,
+        # on the optimizer's scan and on single delta0 over [5e-4, 100] omega0
+        omega0, blockade = TWO_PI * 0.5, TWO_PI * b_mhz
+        levels = set()
+        delta0s = [np.geomspace(1e-3 * omega0, 50 * omega0, 40)]
+        delta0s += list(np.geomspace(5e-4, 100.0, 13) * omega0)
+        for delta0 in delta0s:
+            phi, vals = gate._accumulated_phases(omega0, delta0, 60.0, blockade)
+            ref_phi, ref_vals, nodes = ladder_from_16(omega0, delta0, 60.0, blockade)
+            assert np.array_equal(bits(phi), bits(ref_phi))
+            assert vals.shape == ref_vals.shape
+            assert np.array_equal(bits(vals), bits(ref_vals))
+            levels.update(nodes.tolist())
+        # rows settle at every level the look-ahead covers and past it
+        assert {32, 64, 128, 256, 512} <= levels
+
+    @pytest.mark.parametrize("cap", [32, 64])
+    def test_node_cap_bounds_the_look_ahead(self, monkeypatch, cap):
+        # delta0 = 1e-3 omega0 needs 512 nodes; under a lower cap it raises,
+        # and no row is evaluated on more than MAX_NODES nodes on the way
+        monkeypatch.setattr(gate, "MAX_NODES", cap)
+        node_counts = []
+
+        def counting(omega_minus, e_minus, blockade):
+            node_counts.append(np.shape(omega_minus)[-1])
+            return adiabatic_energies(omega_minus, e_minus, blockade)
+
+        monkeypatch.setattr(gate, "adiabatic_energies", counting)
+        omega0 = TWO_PI * 0.5
+        for delta0 in (1e-3 * omega0, np.geomspace(1e-3 * omega0, 50 * omega0, 40)):
+            node_counts.clear()
+            with pytest.raises(ToleranceFailure):
+                gate._accumulated_phases(omega0, delta0, 60.0, REF_BLOCKADE)
+            # every call after the first covers a subset of the rows before it
+            assert sum(node_counts) == cap
 
     def test_node_cap_raises(self, monkeypatch):
         # delta0 = 1e-3 omega0 needs 512 nodes; a cap of 64 must not return

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from rydgate import PulseShape, SimConfig, entangling_phase_dynamic, evolve, gate, optimize_pulse
-from rydgate import cli, dynamics
+from rydgate import _dop853, cli, dynamics
 from rydgate._dop853 import N_STAGES, dop853
 from rydgate.errors import ToleranceFailure
 
@@ -176,6 +176,24 @@ class TestDop853:
 
         with pytest.raises(ToleranceFailure, match="step size"):
             evolve(gate_config(n_phonon_max=1), drive=drive)
+
+    def test_attempt_cap_raises_tolerance_failure(self, monkeypatch):
+        # a fault that keeps steps small but above 10 ulp must fail, not hang;
+        # with one sample at t1, nfev = 2 + 12 per attempt + 3 (dense output)
+        args = (*KICK_SYSTEM, kick_drive, 0.0, 10.0, np.array([1.0, 0.5j]), 1e-9, 1e-12,
+                np.array([10.0]), 10.0)
+        states, nfev, steps = dop853(*args)
+        attempts = (nfev - 5) // N_STAGES
+        assert attempts > steps
+        monkeypatch.setattr(_dop853, "MAX_ATTEMPTS", attempts)
+        capped, _, _ = dop853(*args)
+        assert np.array_equal(capped, states)
+        monkeypatch.setattr(_dop853, "MAX_ATTEMPTS", attempts - 1)
+        with pytest.raises(ToleranceFailure, match="attempts"):
+            dop853(*args)
+        monkeypatch.setattr(_dop853, "MAX_ATTEMPTS", 3)
+        with pytest.raises(ToleranceFailure, match="attempts"):
+            evolve(gate_config(n_phonon_max=1))
 
 
 class TestBrent:
