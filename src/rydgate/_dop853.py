@@ -15,9 +15,13 @@ bits. The departures are two stops with ToleranceFailure where SciPy would
 go on: a NaN step size, and more than MAX_ATTEMPTS step attempts in one call.
 
 Only the call overhead differs. Each attempt evaluates the drive at its 12
-stage times in Python floats and forms the 12 stage diagonals in two ufunc
-calls; each stage is then seven numpy calls writing into preallocated
-buffers, and the time arithmetic stays in Python floats.
+stage times in Python floats, writes the values through a real view into a
+complex staging buffer and forms the 12 stage diagonals in two ufunc calls.
+Each stage is then seven numpy calls and nothing else: prebound methods
+that take their output buffer positionally, with r.dot(y) for the zgemv
+that np.matmul(r, y) makes without its gufunc overhead. The stage loop
+makes no Python call of its own, and the time arithmetic stays in Python
+floats.
 """
 
 import math
@@ -155,10 +159,10 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     """Integrate y' = (d0 + E d_det) * y + Omega (r @ y) from t0 to t1 > t0; sample y on t_eval.
 
     d0, d_det and y0 are complex 1-D arrays of one length n, r is a complex
-    (n, n) array, and drive(t) -> (Omega, E) is evaluated at stage times
-    clamped to [t0, drive_end], drive_end <= t1. t_eval is
-    increasing inside [t0, t1]. rtol is raised to RTOL_FLOOR, with a
-    warning, when it is below. Each accepted step that passes times of
+    (n, n) array, and drive(t) -> (Omega, E) returns two real numbers and is
+    evaluated at stage times clamped to [t0, drive_end], drive_end <= t1.
+    t_eval is increasing inside [t0, t1]. rtol is raised to RTOL_FLOOR, with
+    a warning, when it is below. Each accepted step that passes times of
     t_eval evaluates its dense output there, so a state at t1 is
     interpolated too. Returns (states (len(t_eval), n), a new array; the
     number of right-hand-side evaluations; accepted steps). y0 is not
@@ -168,53 +172,62 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     if rtol < RTOL_FLOOR:
         warnings.warn(f"rtol {rtol:.3g} is below 100 eps; using {RTOL_FLOOR:.3g}", stacklevel=2)
         rtol = RTOL_FLOOR
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
     m = y0.size
     K_ext = np.empty((N_STAGES_EXTENDED, m), dtype=complex)  # stage derivatives
-    K_rows, K_T = list(K_ext), [K_ext[:s].T for s in range(N_STAGES_EXTENDED)]
+    f = K_ext[0]  # f at the step's start, which is stage 0 of each attempt
     diag = np.empty((N_STAGES_EXTENDED, m), dtype=complex)  # d0 + E d_det of each stage
-    diag_rows = list(diag)
-    # (Omega, E) of each stage slot and the step size, held complex: numpy
-    # casts a Python float operand to exactly these values, so the products
-    # keep their bits, and the 0-d views skip that per-call conversion
-    drv = np.empty((N_STAGES_EXTENDED, 2), dtype=complex)
-    omega, e_col = [drv[s, 0, ...] for s in range(N_STAGES_EXTENDED)], drv[:, 1:]
-    h_c = np.empty((), dtype=complex)
+    # (Omega, E) of each stage slot, held complex: numpy casts a real operand
+    # to exactly these values, so the products keep their bits, and the 0-d
+    # views skip that per-call conversion. The drive writes the real parts
+    # through a float view; the imaginary parts stay zero.
+    drv = np.zeros((N_STAGES_EXTENDED, 2), dtype=complex)
+    drv_re, e_col = drv.real, drv[:, 1:]
+    h_c = np.empty((), dtype=complex)  # the step size, held complex likewise
     tmp = np.empty(m, dtype=complex)
+    r_dot = r.dot  # the zgemv of np.matmul(r, y), without the gufunc's overhead
+    # stage s: the product K[:s].T @ a_s, row a_s of the tableau, its Omega,
+    # its diagonal and its derivative K[s]
+    plan = [(K_ext[:s].T.dot, _STAGE_A[s], drv[s, 0, ...], diag[s], K_ext[s])
+            for s in range(N_STAGES_EXTENDED)]
 
     def drive_at(first, times):
         """Drive at the given times into the stage slots first, first + 1, ..."""
         stop = first + len(times)
         # min/max are called only for a time outside [t0, drive_end]; inside, they return t
-        drv[first:stop] = [drive(t if t0 <= t <= drive_end else min(max(t, t0), drive_end))
-                           for t in times]
+        drv_re[first:stop] = [drive(u if t0 <= u <= drive_end else min(max(u, t0), drive_end))
+                              for u in times]
         rows = diag[first:stop]
-        np.multiply(e_col[first:stop], d_det, out=rows)
-        np.add(d0, rows, out=rows)
-
-    def rhs(s, y_in, out):
-        """out = (d0 + E d_det) * y_in + Omega (r @ y_in) with the drive of slot s."""
-        # operands keep this order: numpy's complex products are not bitwise commutative
-        np.matmul(r, y_in, out=out)
-        np.multiply(omega[s], out, out=out)
-        np.multiply(diag_rows[s], y_in, out=tmp)
-        np.add(tmp, out, out=out)
+        multiply(e_col[first:stop], d_det, rows)
+        add(d0, rows, rows)
 
     def stages(first, stop, t, h, y, y_in):
         """Stages first..stop-1 of the step h from (t, y) into K_ext; y_in ends as the last input."""
-        drive_at(first, [t + _NODES[s] * h for s in range(first, stop)])
+        drive_at(first, [t + c * h for c in _NODES[first:stop]])
         h_c[()] = h
-        for s in range(first, stop):
-            K_T[s].dot(_STAGE_A[s], out=y_in)
-            np.multiply(y_in, h_c, out=y_in)
-            np.add(y, y_in, out=y_in)
-            rhs(s, y_in, K_rows[s])
+        for k_dot, a, omega, diag_s, k in plan[first:stop]:
+            k_dot(a, y_in)
+            multiply(y_in, h_c, y_in)
+            add(y, y_in, y_in)
+            # k = (d0 + E d_det) * y_in + Omega (r @ y_in); operands keep this
+            # order: numpy's complex products are not bitwise commutative
+            r_dot(y_in, k)
+            multiply(omega, k, k)
+            multiply(diag_s, y_in, tmp)
+            add(tmp, k, k)
+
+    def rhs_start(y_in, out):
+        """The stages' right-hand side at y_in with the drive of slot 0, for the first step size."""
+        r_dot(y_in, out)
+        multiply(drv[0, 0, ...], out, out)
+        multiply(diag[0], y_in, tmp)
+        add(tmp, out, out)
 
     # the state rotates through three buffers: y, y_old, and y_new, which
     # holds stage inputs and, after the last stage of an attempt, the new state
     y, y_new, y_old = y0.copy(), np.empty(m, dtype=complex), np.empty(m, dtype=complex)
-    f = np.empty(m, dtype=complex)
     drive_at(0, [t0])
-    rhs(0, y, f)
+    rhs_start(y, f)
 
     # first step size from the local behaviour of the solution (Hairer et al., Sec. II.4)
     interval_length = abs(t1 - t0)
@@ -224,10 +237,10 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     h0 = 1e-6 if d_0 < 1e-5 or d_1 < 1e-5 else 0.01 * d_0 / d_1
     h0 = min(h0, interval_length)
     drive_at(0, [t0 + h0])
-    np.multiply(h0, f, out=y_new)
-    np.add(y, y_new, out=y_new)
-    f1 = K_rows[0]  # unused until the first attempt sets K[0] = f
-    rhs(0, y_new, f1)
+    multiply(h0, f, y_new)
+    add(y, y_new, y_new)
+    f1 = K_ext[1]  # unused until the first attempt's stage 1
+    rhs_start(y_new, f1)
     d_2 = _rms((f1 - f) / scale) / h0
     if d_1 <= 1e-15 and d_2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -237,9 +250,11 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
 
     t_eval_list = t_eval.tolist()
     out = np.empty((len(t_eval), m), dtype=complex)
-    abs_y, abs_new = np.abs(y), np.empty(m)
+    absolute, maximum, abs_y, abs_new = np.absolute, np.maximum, np.abs(y), np.empty(m)
     err5, err3 = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
     err5_re, err5_im, err3_re, err3_im = err5.real, err5.imag, err3.real, err3.imag
+    err_dot = K_ext[:N_STAGES + 1].T.dot
+    f_new = K_ext[N_STAGES]  # the last stage of an attempt is f at the step's end
     F = np.empty((3 + len(D), m), dtype=complex)  # dense-output coefficients
     F_reversed = F[::-1]
     nfev, steps, attempts, i_eval = 2, 0, 0, 0
@@ -261,27 +276,25 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
             h = t_new - t
             h_abs = abs(h)
 
-            K_rows[0][:] = f
             stages(1, N_STAGES + 1, t, h, y, y_new)
             nfev += N_STAGES
 
             # error norm: RMS of the 5th-order estimate, damped by the 3rd-order one
-            np.abs(y_new, out=abs_new)
-            np.maximum(abs_y, abs_new, out=scale)
-            np.multiply(scale, rtol, out=scale)
-            np.add(atol, scale, out=scale)
-            K_T[N_STAGES + 1].dot(_E5, out=err5)
-            np.divide(err5, scale, out=err5)
-            K_T[N_STAGES + 1].dot(_E3, out=err3)
-            np.divide(err3, scale, out=err3)
+            absolute(y_new, abs_new)
+            maximum(abs_y, abs_new, out=scale)  # np.maximum deprecates a positional out
+            multiply(scale, rtol, scale)
+            add(atol, scale, scale)
+            err_dot(_E5, err5)
+            divide(err5, scale, err5)
+            err_dot(_E3, err3)
+            divide(err3, scale, err3)
             # np.linalg.norm of a complex vector: sqrt(re . re + im . im)
             err5_norm_2 = math.sqrt(err5_re.dot(err5_re) + err5_im.dot(err5_im)) ** 2
             err3_norm_2 = math.sqrt(err3_re.dot(err3_re) + err3_im.dot(err3_im)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
-                denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * m)
+                error_norm = h_abs * err5_norm_2 / math.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * m)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -298,34 +311,32 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
         t_old, t = t, t_new
         y_old, y, y_new = y, y_new, y_old
         abs_y, abs_new = abs_new, abs_y
-        f[:] = K_rows[N_STAGES]
         steps += 1
         i_new = i_eval
         while i_new < len(t_eval_list) and t_eval_list[i_new] <= t:
             i_new += 1
         if i_new > i_eval:
-            # 7th-degree dense output of [t_old, t] at the passed times
+            # 7th-degree dense output of [t_old, t] at the passed times; f
+            # still holds f at t_old
             stages(N_STAGES + 1, N_STAGES_EXTENDED, t_old, h, y_old, y_new)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
-            f_old = K_rows[0]
-            np.subtract(y, y_old, out=F[0])
-            np.multiply(h_c, f_old, out=F[1])
-            np.subtract(F[1], F[0], out=F[1])
-            np.add(f, f_old, out=tmp)
-            np.multiply(h_c, tmp, out=tmp)
-            np.multiply(2, F[0], out=F[2])
-            np.subtract(F[2], tmp, out=F[2])
-            _D.dot(K_ext, out=F[3:])
-            np.multiply(h_c, F[3:], out=F[3:])
+            subtract(y, y_old, F[0])
+            multiply(h_c, f, F[1])
+            subtract(F[1], F[0], F[1])
+            add(f_new, f, tmp)
+            multiply(h_c, tmp, tmp)
+            multiply(2, F[0], F[2])
+            subtract(F[2], tmp, F[2])
+            _D.dot(K_ext, F[3:])
+            multiply(h_c, F[3:], F[3:])
             x = ((t_eval[i_eval:i_new] - t_old) / h)[:, None]
+            one_minus_x = 1 - x
             dense = out[i_eval:i_new]
             dense[...] = 0
             for i, coeff in enumerate(F_reversed):
                 dense += coeff
-                if i % 2 == 0:
-                    dense *= x
-                else:
-                    dense *= 1 - x
+                dense *= one_minus_x if i % 2 else x
             dense += y_old
             i_eval = i_new
+        f[:] = f_new
     return out, nfev, steps

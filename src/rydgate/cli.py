@@ -12,6 +12,7 @@ emitted with sorted keys. Exit codes: 0 success, 2 validation/parse errors,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -197,7 +198,9 @@ def _override(parser, flag: str, key: str, **kwargs):
     parser.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help=f"config file (default: ${ENV_CONFIG} if set)")

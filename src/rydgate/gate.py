@@ -86,7 +86,7 @@ def pulse_at(t, p: PulseShape):
 def _light_shift_de(om, e):
     """Exact lower eigenvalue of the singly-driven {|DE>, |-E>}, free of cancellation."""
     om2 = om * om
-    return 0.5 * (e - abs(e)) - om2 / (2.0 * (abs(e) + (e * e + om2) ** 0.5) + _TINY)
+    return 0.5 * (e - abs(e)) - om2 / (2.0 * (abs(e) + np.sqrt(e * e + om2)) + _TINY)
 
 
 def _light_shift_dd(om, e, blockade):
@@ -109,9 +109,9 @@ def _light_shift_dd(om, e, blockade):
     shift = 0.5 * (b - abs(b))  # min(b, 0)
     a = e - shift
     b = abs(b)
-    lam = 0.5 * (a - (a * a + 4.0 * c2) ** 0.5)
+    lam = 0.5 * (a - np.sqrt(a * a + 4.0 * c2))
     a_eff = a - c2 / (b - lam + _TINY)
-    lam = 0.5 * (a_eff - (a_eff * a_eff + 4.0 * c2) ** 0.5)
+    lam = 0.5 * (a_eff - np.sqrt(a_eff * a_eff + 4.0 * c2))
     k2, k1, k0 = a + b, 2.0 * c2 - a * b, c2 * b
     moving = True  # each entry stops on its own step, so batching does not change it
     for _ in range(EIG_MAX_STEPS):

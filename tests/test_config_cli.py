@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from rydgate.cli import main
+from rydgate.cli import build_parser, main
 from rydgate.config import RunConfig, load_config
 from rydgate.dynamics import SimConfig
 from rydgate.errors import ParseError, ValidationError
@@ -311,3 +311,45 @@ class TestCLI:
         assert main(["interactions", "--r-min", "3.3", "--r-max", "7.9", "--points", "37",
                      "--output", str(by_flag)]) == 0
         assert by_file.read_bytes() == by_flag.read_bytes()
+
+    def test_cached_parser_keeps_calls_apart(self, tmp_path, capsys):
+        # the parser is built once per process; each call must still give the
+        # files and exit code of a fresh parser, and no flag may reach the next,
+        # not even from a call that fails to parse
+        bad_call = ["gate", "--config", GATE_DESIGN_CFG, "--tau-us", "30", "--no-such-flag", "1"]
+        calls = [
+            ["gate", "--config", GATE_DESIGN_CFG, "--optimize", "--tau-us", "55",
+             "--blockade-mhz", "3.1"],
+            bad_call,
+            ["gate", "--config", GATE_DESIGN_CFG],
+            ["evolve", "--config", GATE_DYNAMICS_CFG],
+            bad_call,
+            ["evolve", "--config", GATE_DYNAMICS_CFG],
+        ]
+
+        def run(out_dir, fresh):
+            out_dir.mkdir()
+            results = []
+            for i, argv in enumerate(calls):
+                if fresh:
+                    build_parser.cache_clear()
+                try:
+                    code = main(argv + ["--output", str(out_dir / f"{i}.out")])
+                except SystemExit as exc:
+                    code = exc.code
+                files = {p.name: p.read_bytes() for p in out_dir.glob(f"{i}.out*")}
+                results.append((code, files))
+            return results
+
+        fresh = run(tmp_path / "fresh", fresh=True)
+        cached = run(tmp_path / "cached", fresh=False)
+        assert build_parser() is build_parser()
+        assert [code for code, _ in cached] == [0, 2, 0, 0, 2, 0]
+        assert [sorted(files) for _, files in cached] == [
+            ["0.out"], [], ["2.out"], ["3.out", "3.out.summary.json"], [],
+            ["5.out", "5.out.summary.json"]]
+        assert cached == fresh
+        assert cached[3][1]["3.out"] == cached[5][1]["5.out"]
+        optimized, plain = (json.loads(cached[i][1][f"{i}.out"]) for i in (0, 2))
+        assert (optimized["tau_us"], optimized["blockade_mhz"]) == (55, 3.1)
+        assert (plain["tau_us"], plain["blockade_mhz"], plain["delta0_mhz"]) == (60, 2.5, 0.639)

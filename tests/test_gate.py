@@ -183,6 +183,18 @@ class TestAdiabaticEnergies:
         steps = [newton_steps(i) for i in range(om.size)]
         assert None not in steps and len(set(steps)) >= 3
 
+    def test_scalar_entries_equal_array_entries(self):
+        # a float64 scalar's ** 0.5 calls libm pow, which misses sqrt's
+        # rounding for about one value in a thousand; arrays take sqrt
+        rng = np.random.default_rng(20261019)
+        om = TWO_PI * rng.uniform(0.0, 2.0, 2000)
+        e = TWO_PI * rng.uniform(-5.0, 5.0, om.size)
+        for b in (0.0, REF_BLOCKADE, TWO_PI * 10.0):
+            e_dd, e_de = adiabatic_energies(om, e, b)
+            alone = [adiabatic_energies(om[i], e[i], b) for i in range(om.size)]
+            assert np.array_equal(bits(e_dd), bits([a[0] for a in alone]))
+            assert np.array_equal(bits(e_de), bits([a[1] for a in alone]))
+
     def test_singly_driven_shift_without_cancellation(self):
         # Omega << E_-: the textbook form [E - sqrt(E^2 + Omega^2)] / 2 rounds
         # to 0 here; the true value is -Omega^2 / (4 E) to O(Omega^2 / E^2)

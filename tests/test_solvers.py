@@ -43,6 +43,19 @@ def scipy_dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end)
     return sol.y.T, sol.nfev, 0
 
 
+def scipy_dop853_with_steps(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
+    """scipy_dop853 with the accepted steps, counted on a second solve without t_eval."""
+    states, nfev, _ = scipy_dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval,
+                                   drive_end)
+
+    def rhs(t, y):
+        omega_minus, e_minus = drive(min(max(t, t0), drive_end))
+        return (d0 + e_minus * d_det) * y + omega_minus * (r @ y)
+
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol)
+    return states, nfev, sol.t.size - 1
+
+
 def gate_config(**overrides):
     params = dict(blockade=TWO_PI * 2.5, omega_z=TWO_PI * 1.0, eta=0.3, n_phonon_max=4,
                   pulse=PulseShape(TWO_PI * 0.5, TWO_PI * 0.639, 20.0))
@@ -100,6 +113,34 @@ class TestDop853:
         ref = evolve(cfg, drive=drive)
         assert np.array_equal(ours.states, ref.states)
         assert ours.nfev == ref.nfev
+
+    @pytest.mark.parametrize("kind", ["int", "float64", "clamped"])
+    def test_drive_contract_equals_scipy(self, monkeypatch, kind):
+        # drive(t) may return any real numbers: Python ints and numpy scalars
+        # must give scipy's bits, as must the drive at stage times clamped to
+        # just below a breakpoint
+        seen = []
+
+        def drive(t):
+            seen.append(t)
+            if kind == "int":
+                return (2 if t < 7.0 else 1), (5 if t < 13.5 else 4)
+            omega, e = TWO_PI * 0.5 * math.sin(0.2 * t) ** 2, TWO_PI * (0.9 - 0.03 * t)
+            if kind == "float64":
+                return np.float64(omega), np.float64(e)
+            return omega * (1.0 if t < 7.0 else 1.6), e
+
+        if kind != "float64":
+            drive.breakpoints = (7.0, 13.5)
+        cfg = gate_config(n_phonon_max=2, eta=0.5, n_output=31)
+        ours = evolve(cfg, drive=drive)
+        if kind != "float64":  # each segment's last step samples the drive at its clamp
+            assert {math.nextafter(7.0, 0.0), math.nextafter(13.5, 0.0)} <= set(seen)
+        monkeypatch.setattr(dynamics, "dop853", scipy_dop853_with_steps)
+        ref = evolve(cfg, drive=drive)
+        assert np.array_equal(ours.states.view(np.uint64), ref.states.view(np.uint64))
+        assert (ours.nfev, ours.steps) == (ref.nfev, ref.steps)
+        assert ours.steps > 0
 
     def test_rejected_steps_equal_scipy(self):
         y0 = np.array([1.0, 0.5j], dtype=complex)
