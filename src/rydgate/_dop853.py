@@ -217,7 +217,7 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
             add(tmp, k, k)
 
     def rhs_start(y_in, out):
-        """The stages' right-hand side at y_in with the drive of slot 0, for the first step size."""
+        """The stages' right-hand side at y_in with slot 0's drive; sets the first step size."""
         r_dot(y_in, out)
         multiply(drv[0, 0, ...], out, out)
         multiply(diag[0], y_in, tmp)
@@ -294,7 +294,8 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
-                error_norm = h_abs * err5_norm_2 / math.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * m)
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * m)
 
             if error_norm < 1:
                 if error_norm == 0:

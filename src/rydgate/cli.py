@@ -200,7 +200,7 @@ def _override(parser, flag: str, key: str, **kwargs):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and shared by later calls; parsing leaves it unchanged."""
+    """The CLI's parser, built on first use and reused by later calls; parsing leaves it as is."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help=f"config file (default: ${ENV_CONFIG} if set)")

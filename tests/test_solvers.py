@@ -44,16 +44,11 @@ def scipy_dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end)
 
 
 def scipy_dop853_with_steps(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
-    """scipy_dop853 with the accepted steps, counted on a second solve without t_eval."""
-    states, nfev, _ = scipy_dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval,
-                                   drive_end)
-
-    def rhs(t, y):
-        omega_minus, e_minus = drive(min(max(t, t0), drive_end))
-        return (d0 + e_minus * d_det) * y + omega_minus * (r @ y)
-
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol)
-    return states, nfev, sol.t.size - 1
+    """scipy_dop853 with the accepted steps, from a second solve returning one state per step."""
+    args = (d0, d_det, r, drive, t0, t1, y0, rtol, atol)
+    states, nfev, _ = scipy_dop853(*args, t_eval, drive_end)
+    step_states, _, _ = scipy_dop853(*args, None, drive_end)
+    return states, nfev, len(step_states) - 1
 
 
 def gate_config(**overrides):
