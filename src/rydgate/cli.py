@@ -29,6 +29,9 @@ from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
 from .trap import equilibrium_geometry
 
 ENV_CONFIG = "RYDGATE_CONFIG"
+# largest `fc --n-max`: at 40 the matrix is 1681 x 1681 (about 23 MB), its CSV
+# about 16 MB; callers use 5-14, and 400 would ask np.kron for 193 GiB
+FC_N_MAX_LIMIT = 40
 
 
 def fmt(x) -> str:
@@ -193,6 +196,14 @@ _COMMANDS = {
 }
 
 
+def _fc_n_max(raw: str) -> int:
+    """argparse type of `fc --n-max`; argparse turns int()'s ValueError into exit 2 too."""
+    value = int(raw)
+    if not 0 <= value <= FC_N_MAX_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be in [0, {FC_N_MAX_LIMIT}], got {value}")
+    return value
+
+
 def _override(parser, flag: str, key: str, **kwargs):
     """A flag that sets config key "section.name"; load_config parses it."""
     parser.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), **kwargs)
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = sub.add_parser("fc", parents=[common],
                           help="Franck-Condon overlap matrix (CSV)")
     p_fc.add_argument("--axis", default="X", choices=list(modes.AXES))
-    p_fc.add_argument("--n-max", type=int, default=10, dest="n_max")
+    p_fc.add_argument("--n-max", type=_fc_n_max, default=10, dest="n_max")
 
     sub.add_parser("dress", parents=[common],
                    help="dressed-state coefficients and energies (JSON)")

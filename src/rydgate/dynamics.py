@@ -106,9 +106,11 @@ def basis_index(e1: int, e2: int, n: int, n_phonon_max: int) -> int:
 
 def initial_state(cfg: SimConfig, electronic: str = "DD", n: int = 0) -> np.ndarray:
     """Product state |e1 e2> tensor |n>, e.g. 'DD' or 'DE'."""
-    if len(electronic) != 2:
-        raise DomainError("electronic label must name both ions, e.g. 'DD'")
-    e1, e2 = (_LABEL[c] for c in electronic.upper())
+    label = electronic.upper()
+    if len(label) != 2 or not set(label) <= _LABEL.keys():
+        raise DomainError(
+            f"electronic label must be two of E, D, M, -, e.g. 'DD'; got {electronic!r}")
+    e1, e2 = (_LABEL[c] for c in label)
     psi = np.zeros(cfg.dim, dtype=complex)
     psi[basis_index(e1, e2, n, cfg.n_phonon_max)] = 1.0
     return psi

@@ -14,17 +14,19 @@ Two code paths:
   follows from the first relation, every further row from the second, one
   whole row at a time.
 
-* rotated mode vectors -- a genuine 2D integral over the shared mass-scaled
-  coordinates, with the bra modes living on rotated coordinates (rotation
-  S = B^T A between the two eigenvector matrices). The combined Gaussian of
-  bra and ket is diagonalized once; what remains is a polynomial of degree
-  <= 4 n_max along each principal axis, so tensor Gauss-Hermite quadrature
-  of order q >= 2 n_max + 1 is exact. The matrix is contracted as a sum of
-  GEMMs over blocks of NODE_BLOCK grid nodes, (bra functions) x (weighted ket
-  functions)^T, evaluating coordinates and Hermite functions block by block.
-  The entries come from order 2 n_max + 2 and must agree to 1e-9 with the
-  smallest exact order 2 n_max + 1, which shares none of their nodes; else
-  ToleranceFailure. No other order is ever evaluated.
+* rotated mode vectors -- the two-mode (Duschinsky) form of the same
+  recursion (Doktorov, Malkin & Man'ko, J. Mol. Spectrosc. 64, 302, 1977).
+  With nu, omega the bra and ket frequencies, J = E^T G the rotation from ket
+  (G) to bra (E) mode coordinates and M = (J^T diag(nu) J + diag(omega))^-1:
+
+      A = 2 nu^1/2 J M J^T nu^1/2 - 1,  B = 2 nu^1/2 J M omega^1/2,  C = 2 omega^1/2 M omega^1/2 - 1
+      <0|0> = (4 sqrt(nu1 nu2 omega1 omega2) det M)^1/2
+      <0|n+e_i> = sum_j C_ij sqrt(n_j) <0|n-e_j> / sqrt(n_i+1)
+      <m+e_i|n> = sum_j [A_ij sqrt(m_j) <m-e_j|n> + B_ij sqrt(n_j) <m|n-e_j>] / sqrt(m_i+1)
+
+  Row <0|.> comes first, then one bra row at a time over the ket grid. At
+  J = 1 these are the 1D relations (A = t, B = sech, C = -t); the aligned
+  path keeps the tensor product of 1D tables: faster, with exact parity zeros.
 
 All eigenfunctions are taken real with positive leading coefficient, so
 every overlap is real.
@@ -35,13 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ToleranceFailure, TruncationWarning
+from .errors import DomainError, TruncationWarning
 from .modes import PhononBasis
 
 ALIGNMENT_TOL = 1e-8
 ROW_NORM_DEFECT_TOL = 1e-4
-QUADRATURE_CHECK_TOL = 1e-9  # largest entry change between the two exact orders
-NODE_BLOCK = 256          # quadrature nodes per GEMM block of the rotated path
 
 
 @dataclass(frozen=True)
@@ -98,42 +98,39 @@ def fc_overlap_1d(nu: float, omega: float, m: int, n: int) -> float:
     return float(_overlap_table(nu, omega, max(m, n))[m, n])
 
 
-def _hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
-    """h[n, ...] = H_n(y) / sqrt(2^n n! sqrt(pi)), stable upward recursion."""
-    h = np.empty((n_max + 1,) + y.shape)
-    h[0] = np.pi**-0.25
-    if n_max >= 1:
-        h[1] = np.sqrt(2.0) * y * h[0]
-    for n in range(1, n_max):
-        h[n + 1] = y * np.sqrt(2.0 / (n + 1)) * h[n] - np.sqrt(n / (n + 1.0)) * h[n - 1]
-    return h
-
-
-def _quadrature_fc(ground: PhononBasis, excited: PhononBasis, n_max: int,
-                   order: int) -> np.ndarray:
-    """2D Gauss-Hermite overlap matrix on rotated modes, one GEMM per node block."""
-    w_g = ground.frequencies   # Gaussian widths exp(-w Q^2 / 2), hbar = M = 1
-    w_e = excited.frequencies
+def _two_mode_table(ground: PhononBasis, excited: PhononBasis, n_max: int) -> np.ndarray:
+    """Flat matrix of <m1 m2|n1 n2> for rotated modes (the Duschinsky recursion)."""
+    nu = excited.frequencies
+    omega = ground.frequencies
     rot = excited.eigenvectors.T @ ground.eigenvectors  # ket coords -> bra coords
-    gauss = np.diag(w_g) + rot.T @ np.diag(w_e) @ rot
-    d, r = np.linalg.eigh(gauss)
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    freqs = np.concatenate([w_g, w_e])
-    scale = np.sqrt(2.0 / d)   # principal-axis coordinate per Hermite node
-    # Hermite nodes -> ket and bra mode coordinates in oscillator lengths
-    to_modes = np.vstack([r, rot @ r]) * scale * np.sqrt(freqs)[:, None]
-    norm = np.prod(freqs) ** 0.25 * np.prod(scale)
+    inv = np.linalg.inv(rot.T @ np.diag(nu) @ rot + np.diag(omega))
+    sn, so = np.sqrt(nu), np.sqrt(omega)
+    a = 2.0 * sn[:, None] * (rot @ inv @ rot.T) * sn[None] - np.eye(2)
+    b = 2.0 * sn[:, None] * (rot @ inv) * so[None]
+    c = 2.0 * so[:, None] * inv * so[None] - np.eye(2)
+    root = np.sqrt(np.arange(n_max + 1))
+    # k[m1 + 1, m2 + 1, n1 + 1, n2 + 1] = <m1 m2|n1 n2>; the zero first slot
+    # on every axis closes the recursions
+    k = np.zeros((n_max + 2,) * 4)
+    z = k[1, 1]  # the bra row <0 0|.>
+    z[1, 1] = np.sqrt(4.0 * np.sqrt(np.prod(nu) * np.prod(omega)) * np.linalg.det(inv))
+    for n in range(n_max):  # <0|0 n2>, then <0|n1 n2> one n1 at a time
+        z[1, n + 2] = c[1, 1] * root[n] * z[1, n] / root[n + 1]
+    for n in range(n_max):
+        z[n + 2, 1:] = (c[0, 0] * root[n] * z[n, 1:] + c[0, 1] * root * z[n + 1, :-1]) / root[n + 1]
+    b_n1 = [b[i, 0] * root[:, None] for i in range(2)]  # B_i1 sqrt(n1) on the ket grid
+    b_n2 = [b[i, 1] * root for i in range(2)]           # B_i2 sqrt(n2)
+    for m1 in range(n_max + 1):
+        for m2 in range(m1 == 0, n_max + 1):
+            # raise mode 1 from (m1 - 1, m2); along m1 = 0, mode 2 from (0, m2 - 1)
+            i, p1, p2 = (0, m1 - 1, m2) if m1 else (1, 0, m2 - 1)
+            src = k[p1 + 1, p2 + 1]
+            k[m1 + 1, m2 + 1, 1:, 1:] = (a[i, 0] * root[p1] * k[p1, p2 + 1, 1:, 1:]
+                                         + a[i, 1] * root[p2] * k[p1 + 1, p2, 1:, 1:]
+                                         + b_n1[i] * src[:-1, 1:]
+                                         + b_n2[i] * src[1:, :-1]) / root[(m1, m2)[i]]
     dim = (n_max + 1) ** 2
-    entries = np.zeros((dim, dim))
-    for start in range(0, order * order, NODE_BLOCK):
-        ia, ib = np.divmod(np.arange(start, min(start + NODE_BLOCK, order * order)), order)
-        h = _hermite_functions(n_max, to_modes @ np.stack([nodes[ia], nodes[ib]]))
-        g1, g2, e1, e2 = h.swapaxes(0, 1)
-        wgt = weights[ia] * weights[ib] * norm
-        bra = (e1[:, None] * e2[None]).reshape(dim, -1)
-        ket = (g1[:, None] * (g2 * wgt)[None]).reshape(dim, -1)
-        entries += bra @ ket.T
-    return entries
+    return k[1:, 1:, 1:, 1:].reshape(dim, dim)
 
 
 def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCMatrix:
@@ -141,16 +138,9 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCM
 
     Both bases must describe the same axis and geometry. When the mode
     vectors agree the matrix is an exact tensor product of 1D overlaps;
-    otherwise it is computed by rotated-coordinate Gauss-Hermite quadrature,
-    contracted as one GEMM per block of grid nodes. The integrand's polynomial
-    degree per principal axis is <= 4 n_max, so every order >= 2 n_max + 1 is
-    exact (Golub & Welsch, Math. Comp. 23, 221, 1969). The entries are those
-    of order 2 n_max + 2, returned only if no entry differs by more than 1e-9
-    from order 2 n_max + 1; otherwise ToleranceFailure is raised. The two
-    rules share no node, so the check bounds their rounding error when the
-    degree bound holds and shows the smaller rule's quadrature error when it
-    does not, as for a rule one order short of exact. Emits TruncationWarning
-    when any bra row norm drops below 1 - 1e-4.
+    otherwise it comes from the two-mode recursion of the module docstring.
+    Both are exact recursions, so no order or tolerance is involved. Emits
+    TruncationWarning when any bra row norm drops below 1 - 1e-4.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
@@ -160,13 +150,7 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCM
         t2 = _overlap_table(excited.frequencies[1], ground.frequencies[1], n_max)
         entries = np.kron(t1, t2)
     else:
-        q = 2 * n_max + 1
-        exact = _quadrature_fc(ground, excited, n_max, q)
-        entries = _quadrature_fc(ground, excited, n_max, q + 1)
-        gap = np.max(np.abs(entries - exact))
-        if not gap <= QUADRATURE_CHECK_TOL:  # also catches nan
-            raise ToleranceFailure(f"rotated FC quadrature orders {q} and {q + 1} differ "
-                                   f"by {gap:.3g} > {QUADRATURE_CHECK_TOL}")
+        entries = _two_mode_table(ground, excited, n_max)
     result = FCMatrix(n_max=n_max, entries=entries)
     worst = result.row_norms().min()
     if worst < 1.0 - ROW_NORM_DEFECT_TOL:

@@ -7,7 +7,7 @@ import pytest
 from rydgate.cli import build_parser, main
 from rydgate.config import RunConfig, load_config
 from rydgate.dynamics import SimConfig
-from rydgate.errors import ParseError, ValidationError
+from rydgate.errors import ParseError, TruncationWarning, ValidationError
 from rydgate.gate import wrap_angle
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -197,6 +197,23 @@ class TestCLI:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split(",")[0] == "bra"
         assert len(lines) == 10  # header + 9 bra states
+
+    @pytest.mark.parametrize("raw", ["-1", "41", "abc"])
+    def test_fc_n_max_out_of_range_exit_code(self, raw, tmp_path, capsys):
+        out = tmp_path / "fc.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["fc", "--n-max", raw, "--output", str(out)])
+        assert exc.value.code == 2
+        assert "--n-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fc_n_max_zero_accepted(self, tmp_path):
+        out = tmp_path / "fc.csv"
+        with pytest.warns(TruncationWarning):  # bare P on both ions: row norm 0.907
+            assert main(["fc", "--n-max", "0", "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "bra,j=0.0"
+        assert len(lines) == 2 and lines[1].startswith("k=0.0,")
 
     def test_dress_json_schema(self, capsys):
         assert main(["dress"]) == 0

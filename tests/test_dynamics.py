@@ -204,6 +204,9 @@ class TestEvolve:
             evolve(cfg, np.zeros(cfg.dim, complex))
         with pytest.raises(DomainError):
             evolve(cfg, np.ones(5, complex))
+        for label in ("DX", "D", "DDD"):  # an unknown level, then wrong lengths
+            with pytest.raises(DomainError, match="E, D, M, -"):
+                initial_state(cfg, label)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -16,7 +16,7 @@ from rydgate import (
     from_secular,
 )
 from rydgate import franck_condon
-from rydgate.errors import DomainError, ToleranceFailure, TruncationWarning
+from rydgate.errors import DomainError, TruncationWarning
 
 TWO_PI = 2 * np.pi
 CA40 = 39.962590866 * 1.66053906660e-27
@@ -42,7 +42,11 @@ def hermite_reference(n_max, y):
 
 
 def einsum_reference(ground, excited, n_max, order):
-    """The rotated-mode quadrature as one 5-operand einsum over the whole grid."""
+    """Rotated-mode overlaps by tensor Gauss-Hermite quadrature, one 5-operand einsum.
+
+    The integrand is a polynomial of degree <= 4 n_max along each principal
+    axis of the combined Gaussian, so every order >= 2 n_max + 1 is exact.
+    """
     rot = excited.eigenvectors.T @ ground.eigenvectors
     gauss = np.diag(ground.frequencies) + rot.T @ np.diag(excited.frequencies) @ rot
     d, r = np.linalg.eigh(gauss)
@@ -159,9 +163,9 @@ class TestMatrix:
                     == pytest.approx(product, abs=1e-14)
 
     def test_quadrature_path_matches_recursion_on_aligned_case(self, bases):
-        # cross-check of the two code paths: the rotated-coordinate quadrature,
-        # at order 4 n_max + 8 (far above the exact 2 n_max + 1), on an aligned
-        # problem with a ~2x frequency mismatch
+        # cross-check of the two code paths: the rotated path's two-mode
+        # recursion, called on an aligned problem with a ~2x frequency
+        # mismatch, against the tensor product of 1D tables
         ground = bases((0.0, 0.0))
         excited = bases((-2.0e9, -2.0e9))
         ratio = excited.frequencies / ground.frequencies
@@ -169,8 +173,8 @@ class TestMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             direct = fc_matrix(ground, excited, n_max=6)
-        quadr = franck_condon._quadrature_fc(ground, excited, 6, 4 * 6 + 8)
-        assert np.max(np.abs(direct.entries - quadr)) < 1e-10
+        two_mode = franck_condon._two_mode_table(ground, excited, 6)
+        assert np.max(np.abs(direct.entries - two_mode)) <= 1e-13
 
     def test_rotated_case_row_norms(self, bases):
         # a single-ion shift rotates the quasi-degenerate transverse modes;
@@ -181,13 +185,6 @@ class TestMatrix:
         assert np.max(np.abs(ground.eigenvectors - excited.eigenvectors)) > 1e-3
         fc = fc_matrix(ground, excited, n_max=10)
         assert fc.row_norms().min() >= 0.999
-
-    def test_rotated_case_stable_under_order_doubling(self, bases):
-        ground = bases((0.0, 0.0))
-        excited = bases((-2e8, 0.0))
-        a = franck_condon._quadrature_fc(ground, excited, 6, 16)
-        b = franck_condon._quadrature_fc(ground, excited, 6, 32)
-        assert np.max(np.abs(a - b)) < 1e-9
 
     def test_parity_zeros_for_aligned_symmetric_modes(self, bases):
         ground = bases((0.0, 0.0))
@@ -240,34 +237,41 @@ class TestMatrix:
             fc = fc_matrix(ground, bases((-2.0e9, 0.0)), n_max=8)
         assert np.all(fc.row_norms() <= 1.0 + 1e-12)
 
-    # with NODE_BLOCK = 256 nodes, orders 3 and 7 fill less than one block,
-    # 16 exactly one, and 23 and 28 end on a partial block
+    # eigenvector changes from 1e-3 to 0.7 and cutoffs from 0 to 12; the last case
+    # has a frequency ratio above 2.5. Every order is >= 2 n_max + 1, where
+    # the oracle's Gauss-Hermite rule is exact.
     @pytest.mark.parametrize("pol, n_max, order", [
-        (-2e8, 0, 3), (-2e8, 1, 7), (-1e5, 6, 16), (-2e9, 6, 23), (-2e8, 12, 28)])
-    def test_blocked_gemm_matches_einsum(self, bases, pol, n_max, order):
+        (-2e8, 0, 3), (-2e8, 1, 7), (-1e5, 6, 16), (-2e9, 6, 23), (-2e8, 12, 28),
+        (-3e9, 12, 28)])
+    def test_rotated_matches_einsum_oracle(self, bases, pol, n_max, order):
         ground = bases((0.0, 0.0))
         excited = bases((pol, 0.0))
         assert np.max(np.abs(ground.eigenvectors - excited.eigenvectors)) > 1e-3
-        blocked = franck_condon._quadrature_fc(ground, excited, n_max, order)
+        if pol == -3e9:
+            assert (excited.frequencies / ground.frequencies).max() >= 2.5
         reference = einsum_reference(ground, excited, n_max, order)
-        assert np.max(np.abs(blocked - reference)) <= 1e-13
+        assert np.max(np.abs(fc_matrix(ground, excited, n_max).entries - reference)) <= 1e-12
 
-    def test_start_order_is_exact(self, bases):
-        # the integrand has degree <= 4 n_max per principal axis, so order
-        # 2 n_max + 1 is exact and 2 n_max is not; the doubling only verifies
+    @pytest.mark.parametrize("pol, n_max", [(-1e5, 6), (-2e9, 8), (-3e9, 12)])
+    def test_rotated_exchange_symmetry(self, bases, pol, n_max):
+        # <m_e|n_g> = <n_g|m_e>: swapping the surfaces transposes the matrix
         ground = bases((0.0, 0.0))
-        excited = bases((-1e9, 0.0))
-        assert (excited.frequencies / ground.frequencies).max() > 1.8
-        n = 6
-        exact = franck_condon._quadrature_fc(ground, excited, n, 4 * n + 8)
-        assert np.max(np.abs(franck_condon._quadrature_fc(ground, excited, n, 2 * n + 1)
-                             - exact)) <= 1e-13
-        assert np.max(np.abs(franck_condon._quadrature_fc(ground, excited, n, 2 * n)
-                             - exact)) > 1e-10
+        excited = bases((pol, 0.0))
+        forward = fc_matrix(ground, excited, n_max).entries
+        backward = fc_matrix(excited, ground, n_max).entries
+        assert np.max(np.abs(forward.T - backward)) <= 1e-13
+
+    def test_rotated_high_cutoff_stays_bounded(self, bases):
+        ground = bases((0.0, 0.0))
+        excited = bases((-3e9, 0.0))
+        assert (excited.frequencies / ground.frequencies).max() >= 2.5
+        fc = fc_matrix(ground, excited, n_max=20)
+        assert np.all(np.isfinite(fc.entries))
+        assert np.all(fc.row_norms() <= 1.0 + 1e-12)
 
     def test_rotated_transient_memory_bounded(self, bases):
-        # node blocks keep the transient at ~1.7 MB; contracting all order**2
-        # nodes at once peaks near 11 MB at n_max = 12
+        # the recursion's padded table holds 14**4 doubles (0.3 MB) at
+        # n_max = 12, and the flat copy returned 169**2 (0.2 MB)
         ground = bases((0.0, 0.0))
         excited = bases((-1e5, 0.0))
         fc_matrix(ground, excited, n_max=12)
@@ -278,32 +282,3 @@ class TestMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5e6
-
-    def test_unconverged_quadrature_raises(self, bases, monkeypatch):
-        # entries that move by the order itself disagree between the two
-        # exact orders; fc_matrix must raise, not return them, after
-        # evaluating exactly orders 2 n_max + 1 and 2 n_max + 2
-        orders = []
-
-        def never_converges(ground, excited, n_max, order):
-            orders.append(order)
-            return np.full(((n_max + 1) ** 2,) * 2, float(order))
-
-        monkeypatch.setattr(franck_condon, "_quadrature_fc", never_converges)
-        ground = bases((0.0, 0.0))
-        with pytest.raises(ToleranceFailure):
-            fc_matrix(ground, bases((-1e5, 0.0)), n_max=2)
-        assert orders == [5, 6]
-
-    def test_order_shortfall_is_caught(self, bases, monkeypatch):
-        # a rule one order below the one asked for makes the smaller order
-        # inexact (test_start_order_is_exact's case), which must not pass
-        quadrature = franck_condon._quadrature_fc
-
-        def one_short(ground, excited, n_max, order):
-            return quadrature(ground, excited, n_max, order - 1)
-
-        monkeypatch.setattr(franck_condon, "_quadrature_fc", one_short)
-        ground = bases((0.0, 0.0))
-        with pytest.raises(ToleranceFailure):
-            fc_matrix(ground, bases((-1e9, 0.0)), n_max=6)
