@@ -29,9 +29,6 @@ from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
 from .trap import equilibrium_geometry
 
 ENV_CONFIG = "RYDGATE_CONFIG"
-# largest `fc --n-max`: at 40 the matrix is 1681 x 1681 (about 23 MB), its CSV
-# about 16 MB; callers use 5-14, and 400 would ask np.kron for 193 GiB
-FC_N_MAX_LIMIT = 40
 
 
 def fmt(x) -> str:
@@ -197,10 +194,14 @@ _COMMANDS = {
 
 
 def _fc_n_max(raw: str) -> int:
-    """argparse type of `fc --n-max`; argparse turns int()'s ValueError into exit 2 too."""
-    value = int(raw)
-    if not 0 <= value <= FC_N_MAX_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be in [0, {FC_N_MAX_LIMIT}], got {value}")
+    """argparse type of `fc --n-max`: an integer in [0, franck_condon.N_MAX_LIMIT]."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value <= franck_condon.N_MAX_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, {franck_condon.N_MAX_LIMIT}], got {raw!r}")
     return value
 
 

@@ -42,6 +42,10 @@ from .modes import PhononBasis
 
 ALIGNMENT_TOL = 1e-8
 ROW_NORM_DEFECT_TOL = 1e-4
+# largest n_max: at 40 the matrix is 1681 x 1681 (about 23 MB) and its CSV
+# about 16 MB; callers use 5-14, and 400 would ask for 193 GiB (np.kron) or
+# 195 GiB (the two-mode table)
+N_MAX_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -140,10 +144,12 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCM
     vectors agree the matrix is an exact tensor product of 1D overlaps;
     otherwise it comes from the two-mode recursion of the module docstring.
     Both are exact recursions, so no order or tolerance is involved. Emits
-    TruncationWarning when any bra row norm drops below 1 - 1e-4.
+    TruncationWarning when any bra row norm drops below 1 - 1e-4. Raises
+    DomainError, before allocating, unless n_max is an integer in
+    [0, N_MAX_LIMIT].
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    if not (isinstance(n_max, (int, np.integer)) and 0 <= n_max <= N_MAX_LIMIT):
+        raise DomainError(f"n_max must be an integer in [0, {N_MAX_LIMIT}], got {n_max!r}")
     aligned = np.max(np.abs(ground.eigenvectors - excited.eigenvectors)) <= ALIGNMENT_TOL
     if aligned:
         t1 = _overlap_table(excited.frequencies[0], ground.frequencies[0], n_max)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from rydgate import franck_condon
 from rydgate.cli import build_parser, main
 from rydgate.config import RunConfig, load_config
 from rydgate.dynamics import SimConfig
@@ -204,8 +205,16 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["fc", "--n-max", raw, "--output", str(out)])
         assert exc.value.code == 2
-        assert "--n-max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--n-max: must be an integer in [0, 40], got '{raw}'" in err
+        assert "_fc_n_max" not in err
         assert not out.exists()
+
+    def test_fc_n_max_limit_is_the_library_limit(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(franck_condon, "N_MAX_LIMIT", 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["fc", "--n-max", "3", "--output", str(tmp_path / "fc.csv")])
+        assert exc.value.code == 2
 
     def test_fc_n_max_zero_accepted(self, tmp_path):
         out = tmp_path / "fc.csv"

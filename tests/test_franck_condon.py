@@ -269,6 +269,24 @@ class TestMatrix:
         assert np.all(np.isfinite(fc.entries))
         assert np.all(fc.row_norms() <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("pol", [(-1e9, -1e9), (-1e5, 0.0)], ids=["aligned", "rotated"])
+    def test_n_max_bounded_before_allocating(self, bases, pol):
+        # at n_max = 400 the matrix or the two-mode table would take about
+        # 195 GiB; above the limit nothing is allocated before DomainError
+        ground, excited = bases((0.0, 0.0)), bases(pol)
+        limit = franck_condon.N_MAX_LIMIT
+        assert fc_matrix(ground, excited, limit).entries.shape == ((limit + 1) ** 2,) * 2
+        assert fc_matrix(ground, excited, np.int64(2)).n_max == 2
+        for n_max in (-1, limit + 1, 400, 2.5, 3.0):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DomainError, match=rf"n_max must be an integer in \[0, {limit}\]"):
+                    fc_matrix(ground, excited, n_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1e5
+
     def test_rotated_transient_memory_bounded(self, bases):
         # the recursion's padded table holds 14**4 doubles (0.3 MB) at
         # n_max = 12, and the flat copy returned 169**2 (0.2 MB)

@@ -401,6 +401,69 @@ class TestOptimizePulse:
         with pytest.raises(NoRoot):
             optimize_pulse(TWO_PI * 0.5, 60.0, 0.0)
 
+    def test_scan_stays_on_the_look_ahead(self, monkeypatch):
+        # the 40 scan rows take one 64-node call, the bracket one 2-row call,
+        # and Brent starts from the bracket's converged values
+        entries, ends = [], []
+
+        def counting(omega_minus, e_minus, blockade):
+            entries.append(np.size(omega_minus))
+            return adiabatic_energies(omega_minus, e_minus, blockade)
+
+        def record_ends(f, a, b, fa, fb):  # stands in for the polish
+            ends.append((a, b, fa, fb))
+            return a, 0.0
+
+        monkeypatch.setattr(gate, "adiabatic_energies", counting)
+        monkeypatch.setattr(gate, "_brent", record_ends)
+        optimize_pulse(TWO_PI * 0.5, 60.0, REF_BLOCKADE)
+        assert sum(entries) <= 40 * 64 + 2 * 64
+        (a, b, fa, fb), = ends
+        for delta0, value in ((a, fa), (b, fb)):
+            design = entangling_phase(PulseShape(TWO_PI * 0.5, delta0, 60.0), REF_BLOCKADE)
+            assert bits(value) == bits(design.phi_dd - 2.0 * design.phi_de - np.pi)
+
+    @pytest.mark.parametrize("b_mhz", [0.5, 2.5, 10.0])
+    def test_settled_signs_hold_converged(self, b_mhz):
+        # over the corners of the design space, every scan row stopped by
+        # its sign has the sign of its converged phi_ent - pi
+        stopped_rows = 0
+        for omega0 in TWO_PI * np.array([0.1, 0.5, 1.0]):
+            grid = np.geomspace(1e-3 * omega0, 50 * omega0, 40)
+            for tau in (20.0, 60.0, 120.0):
+                early, _ = gate._accumulated_phases(omega0, grid, tau, TWO_PI * b_mhz, np.pi)
+                full, _ = gate._accumulated_phases(omega0, grid, tau, TWO_PI * b_mhz)
+                stopped = np.any(bits(early) != bits(full), axis=0)
+                signs = [np.sign(phi[0] - 2.0 * phi[1] - np.pi)[stopped] for phi in (early, full)]
+                assert np.array_equal(*signs)
+                stopped_rows += stopped.sum()
+        assert stopped_rows >= 9 * 20
+
+    def test_node_cap_spares_settled_scan_rows(self, monkeypatch):
+        # the scan's smallest delta0 need 512 nodes, but their signs settle
+        # within 64; the bracket's rows converge on 64 and not on 32
+        args = (TWO_PI * 0.5, 60.0, REF_BLOCKADE)
+        root = optimize_pulse(*args)
+        monkeypatch.setattr(gate, "MAX_NODES", 64)
+        assert bits(optimize_pulse(*args)) == bits(root)
+        monkeypatch.setattr(gate, "MAX_NODES", 32)
+        with pytest.raises(ToleranceFailure):
+            optimize_pulse(*args)
+
+    def test_sign_change_gone_once_converged_raises(self, monkeypatch):
+        # a settled sign that the converged values contradict must not reach Brent
+        ladder = gate._accumulated_phases
+
+        def false_change(omega0, delta0, tau, blockade, target=None):
+            phi, vals = ladder(omega0, delta0, tau, blockade, target)
+            if target is not None:  # phi_ent - pi = +1, -1 on the first two rows
+                phi[0, :2] = 2.0 * phi[1, :2] + np.pi + np.array([1.0, -1.0])
+            return phi, vals
+
+        monkeypatch.setattr(gate, "_accumulated_phases", false_change)
+        with pytest.raises(ToleranceFailure, match="once converged"):
+            optimize_pulse(TWO_PI * 0.5, 60.0, REF_BLOCKADE)
+
 
 class TestDiagnostics:
     def test_reference_pulse_is_adiabatic(self):

@@ -280,21 +280,25 @@ class TestBrent:
             reached |= self.branches_taken(f, a, b)
         assert reached == {"interpolate", "extrapolate", "bisect"}
 
-    @pytest.mark.parametrize("b_mhz", [2.5, 3.0, 4.5])
+    @pytest.mark.parametrize("b_mhz", [1.0, 2.5, 3.0, 4.5, 10.0])
     def test_optimize_pulse_root_equals_brentq(self, b_mhz):
-        # the polish starts from the scan's end values instead of re-evaluating them
-        omega0, tau, blockade = TWO_PI * 0.5, 60.0, TWO_PI * b_mhz
+        # brentq on the fully converged scan: the scan settles far rows by
+        # sign only, and the polish starts from the bracket's converged end
+        # values; at the reference (omega0, tau) and the corners around it
+        blockade = TWO_PI * b_mhz
+        for omega0_mhz, tau in [(0.5, 60.0), (0.3, 40.0), (0.3, 80.0), (0.7, 40.0), (0.7, 80.0)]:
+            omega0 = TWO_PI * omega0_mhz
 
-        def objective(d):
-            phi, _ = gate._accumulated_phases(omega0, d, tau, blockade)
-            return float(phi[0, 0] - 2.0 * phi[1, 0] - np.pi)
+            def objective(d):
+                phi, _ = gate._accumulated_phases(omega0, d, tau, blockade)
+                return float(phi[0, 0] - 2.0 * phi[1, 0] - np.pi)
 
-        grid = np.geomspace(1e-3 * omega0, 50.0 * omega0, 40)
-        values = [objective(d) for d in grid]
-        i = next(k for k in range(39) if values[k] * values[k + 1] < 0.0)
-        ref = brentq(objective, grid[i], grid[i + 1], xtol=gate.BRENT_XTOL,
-                     rtol=gate.BRENT_RTOL)
-        assert optimize_pulse(omega0, tau, blockade) == ref
+            grid = np.geomspace(1e-3 * omega0, 50.0 * omega0, 40)
+            values = [objective(d) for d in grid]
+            i = next(k for k in range(39) if values[k] * values[k + 1] < 0.0)
+            ref = brentq(objective, grid[i], grid[i + 1], xtol=gate.BRENT_XTOL,
+                         rtol=gate.BRENT_RTOL)
+            assert optimize_pulse(omega0, tau, blockade) == ref
 
 
 def test_import_loads_no_scipy():
