@@ -8,6 +8,7 @@ yields the all-defaults configuration.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 
 from ._dop853 import RTOL_FLOOR
@@ -174,6 +175,8 @@ def _convert(section: str, field, raw: str):
 
 
 def _check_range(section: str, key: str, value):
+    if isinstance(value, float) and not math.isfinite(value):  # "inf" parses as a float
+        raise ValidationError(f"[{section}] {key} must be finite, got {value}")
     rule = _RANGES.get(key)
     if rule is not None and not rule[0](value):
         raise ValidationError(f"[{section}] {key} {rule[1]}, got {value}")

@@ -14,6 +14,10 @@ of an integral covers 64 nodes at once; finer grids add odd nodes only for
 the delta0 that still move. The optimizer's scan needs only the sign of
 phi_ent - pi on each row, so a row far from the root stops once its sign is
 settled; the two rows that bracket the root are integrated again, converged.
+The converged integral of one design point (omega0, delta0, tau, B) is kept
+(the last 16), so Brent's evaluation at the root serves entangling_phase and
+phase_trace there. phase_trace's sine table takes the fractional part of
+k t / tau as u - floor(u), exact for u >= 0.
 
 Both light shifts are exact adiabatic eigenvalues: E_DE of the 2x2
 {|DE>, |-E>} block and E_DD of the ion-symmetric 3x3 block {|DD>, |D->_+,
@@ -22,6 +26,7 @@ order, is kept as adiabatic_energies_closed_form for reference; at the
 reference design it is 0.07 rad away from the exact phase.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +61,10 @@ class PulseShape:
     tau: float
 
     def __post_init__(self):
+        for name in ("omega0", "delta0", "tau"):
+            value = getattr(self, name)
+            if np.size(value) != 1 or not np.isfinite(value).all():
+                raise ValidationError(f"pulse {name} must be one finite number, got {value}")
         if self.tau <= 0.0:
             raise ValidationError(f"pulse duration must be positive, got {self.tau}")
         if self.omega0 < 0.0:
@@ -120,10 +129,11 @@ def _light_shift_dd(om, e, blockade):
     a_eff = a - c2 / (b - lam + _TINY)
     lam = 0.5 * (a_eff - np.sqrt(a_eff * a_eff + 4.0 * c2))
     k2, k1, k0 = a + b, 2.0 * c2 - a * b, c2 * b
+    two_k2 = 2.0 * k2
     moving = True  # each entry stops on its own step, so batching does not change it
     for _ in range(EIG_MAX_STEPS):
         poly = ((k2 - lam) * lam + k1) * lam - k0
-        slope = (2.0 * k2 - 3.0 * lam) * lam + k1
+        slope = (two_k2 - 3.0 * lam) * lam + k1
         step = poly / (slope - _TINY) * moving
         lam = lam - step
         moving = moving & (abs(step) > EIG_STEP_RTOL * abs(lam))
@@ -201,24 +211,26 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None):
     def energies(d, x):  # at pulse fractions x = t / tau, shape (2, len(d), len(x))
         om = omega0 * np.sin(np.pi * x) ** 2
         e = d[:, None] * (0.5 + np.cos(np.pi * x) ** 2)
-        return np.stack(adiabatic_energies(np.broadcast_to(om, e.shape), e, blockade))
+        out = np.empty((2,) + e.shape)
+        out[0], out[1] = adiabatic_energies(np.broadcast_to(om, e.shape), e, blockade)
+        return out
 
     delta0 = np.atleast_1d(np.asarray(delta0, dtype=float))
     phi, rows = np.empty((2, delta0.size)), np.arange(delta0.size)
     n_ahead = max(16, min(64, MAX_NODES))
     ahead = energies(delta0, np.arange(n_ahead) / n_ahead)
     vals = ahead[..., ::n_ahead // 16].copy()
-    prev = tau * vals.mean(axis=-1)
+    prev = tau * (vals.sum(axis=-1) / 16)  # np.mean's own sum and divide
     while vals.shape[-1] < MAX_NODES:
         n = 2 * vals.shape[-1]
-        if n <= n_ahead:  # contiguous, so the mean sums as over a level made alone
+        if n <= n_ahead:  # contiguous, so the sum runs as over a level made alone
             vals = ahead[..., ::n_ahead // n].copy()
         else:
             odd = energies(delta0[rows], (np.arange(n // 2) + 0.5) / (n // 2))
             vals = np.stack([vals, odd], axis=-1).reshape(2, rows.size, n)
-        new = tau * vals.mean(axis=-1)
+        new = tau * (vals.sum(axis=-1) / n)
         change = np.abs(new - prev)
-        done = np.all(change <= QUAD_ABS_TOL, axis=0)
+        done = (change <= QUAD_ABS_TOL).all(axis=0)
         if target is not None:
             done |= (np.abs(new[0] - 2.0 * new[1] - target)
                      > SIGN_MARGIN * (change[0] + 2.0 * change[1]))
@@ -231,9 +243,29 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None):
     raise ToleranceFailure(f"phase integrals not converged on {MAX_NODES} nodes")
 
 
+# The root Brent returns was one of its last 4 evaluations on 400 random designs,
+# so 16 entries keep it for entangling_phase and phase_trace with room. An entry
+# holds about 1 KB (32-64 nodes), at most 2 MB (MAX_NODES nodes).
+@functools.lru_cache(maxsize=16)
+def _root_integral(omega0, delta0, tau, blockade):
+    phi, vals = _accumulated_phases(omega0, delta0, tau, blockade)
+    phi.flags.writeable = vals.flags.writeable = False
+    return phi, vals
+
+
+def _design_phases(omega0, delta0, tau, blockade):
+    """_accumulated_phases of one delta0, converged; kept for the last 16 design points.
+
+    The arguments are keyed as Python floats, so numpy scalars, 0-d and
+    1-element arrays share an entry. The arrays returned are read-only.
+    """
+    return _root_integral(*(np.asarray(v, dtype=float).item()
+                            for v in (omega0, delta0, tau, blockade)))
+
+
 def entangling_phase(p: PulseShape, blockade: float) -> GateDesign:
     """Integrate the adiabatic energies over the pulse and assemble the gate."""
-    phi, _ = _accumulated_phases(p.omega0, p.delta0, p.tau, blockade)
+    phi, _ = _design_phases(p.omega0, p.delta0, p.tau, blockade)
     phi_dd, phi_de = phi[:, 0].tolist()
     phi_ent = float(wrap_angle(phi_dd - 2.0 * phi_de))
     return GateDesign(
@@ -253,14 +285,16 @@ def phase_trace(p: PulseShape, blockade: float):
     wrapped to (-pi, pi].
     """
     times = np.linspace(0.0, p.tau, 201)
-    phi, vals = _accumulated_phases(p.omega0, p.delta0, p.tau, blockade)
+    phi, vals = _design_phases(p.omega0, p.delta0, p.tau, blockade)
     n = vals.shape[-1]
     amp = np.fft.rfft(vals[:, 0]).real * (2.0 / n)
     amp[:, -1] /= 2.0  # the Nyquist term is not doubled
     k = np.arange(1, n // 2 + 1)
     x = times / p.tau
-    # sin(2 pi k x) from the fractional part of k x, which is exactly 0 at x = 1
-    waves = np.sin(2.0 * np.pi * np.mod(np.outer(k, x), 1.0)) / (2.0 * np.pi * k[:, None])
+    # sin(2 pi k x) from the fractional part of k x, which is exactly 0 at x = 1;
+    # k x >= 0, so u - floor(u) is exact and equals np.mod(u, 1.0) bit for bit
+    u = np.outer(k, x)
+    waves = np.sin(2.0 * np.pi * (u - np.floor(u))) / (2.0 * np.pi * k[:, None])
     phi_dd, phi_de = phi[:, :1] * x + p.tau * (amp[:, 1:] @ waves)
     return times, phi_dd, phi_de, wrap_angle(phi_dd - 2.0 * phi_de)
 
@@ -330,6 +364,10 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
         phi, _ = _accumulated_phases(omega0, delta0, tau, blockade, target)
         return phi[0] - 2.0 * phi[1] - np.pi
 
+    def converged(delta0):  # Brent's objective, kept for entangling_phase and phase_trace
+        phi, _ = _design_phases(omega0, delta0, tau, blockade)
+        return float(phi[0, 0] - 2.0 * phi[1, 0] - np.pi)
+
     grid = np.geomspace(1e-3 * omega0, 50.0 * omega0, 40)
     values = objective(grid, np.pi)  # signs only; a row stopped early is nonzero
     for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
@@ -340,7 +378,7 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
             if not fa * fb < 0.0:
                 raise ToleranceFailure(
                     f"the scan's sign change in [{a}, {b}] is gone once converged")
-            root, f_root = _brent(lambda d: float(objective(d)[0]), a, b, fa, fb)
+            root, f_root = _brent(converged, a, b, fa, fb)
             if abs(f_root) >= 1e-6:
                 raise NoRoot("root polish did not reach the phase tolerance")
             return float(root)

@@ -78,6 +78,15 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="omega_mw_mhz"):
             load_config(path)
 
+    def test_non_finite_keys_rejected_in_every_section(self, tmp_path):
+        for section, key in (("trap", "alpha"), ("trap", "omega_z_mhz_override"),
+                             ("dressing", "omega_mw_mhz"), ("interactions", "r_max_um"),
+                             ("pulse", "delta0_mhz"), ("simulation", "tau0_us")):
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"[{section}]\n{key} = inf\n")
+            with pytest.raises(ValidationError, match=f"{key} must be finite"):
+                load_config(path)
+
     def test_unparseable_float_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[pulse]\ntau_us = sixty\n")
@@ -294,6 +303,18 @@ class TestCLI:
     def test_negative_blockade_flag_rejected_like_config_key(self, capsys):
         assert main(["gate", "--blockade-mhz", "-1"]) == 2
         assert "[simulation] blockade_mhz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, key", [("--tau-us", "[pulse] tau_us"),
+                                           ("--blockade-mhz", "[simulation] blockade_mhz"),
+                                           ("--omega0-mhz", "[pulse] omega0_mhz")])
+    @pytest.mark.parametrize("raw", ["inf", "nan"])
+    def test_non_finite_flag_exit_code(self, flag, key, raw, tmp_path, capsys):
+        # inf passed every range rule and ran the phase ladder to MAX_NODES
+        # before exiting 3 with an unconverged integral
+        out = tmp_path / "gate.json"
+        assert main(["gate", flag, raw, "--output", str(out)]) == 2
+        assert f"{key} must be finite, got {raw}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("raw", ["abc", "60%"])
     def test_unparseable_flag_exit_code(self, raw, capsys):

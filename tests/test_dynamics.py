@@ -216,6 +216,12 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             reference_config(atol=0.0)
 
+    @pytest.mark.parametrize("field", ["blockade", "omega_z", "eta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            reference_config(**{field: value})
+
     def test_rtol_below_stepper_floor_rejected(self):
         # the stepper would raise such an rtol to its floor with only a warning
         with pytest.raises(ValidationError, match="rtol"):

@@ -63,6 +63,30 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
+@pytest.fixture(autouse=True)
+def fresh_design_cache():
+    # the design-point integrals outlive a test: one that patches MAX_NODES,
+    # QUAD_ABS_TOL, EIG_MAX_STEPS or adiabatic_energies must integrate anew,
+    # and must leave no entry made under its patch behind
+    gate._root_integral.cache_clear()
+    yield
+    gate._root_integral.cache_clear()
+
+
+def trace_with_mod(p, blockade):
+    """phase_trace with np.mod taking the fractional part of k x."""
+    times = np.linspace(0.0, p.tau, 201)
+    phi, vals = gate._accumulated_phases(p.omega0, p.delta0, p.tau, blockade)
+    n = vals.shape[-1]
+    amp = np.fft.rfft(vals[:, 0]).real * (2.0 / n)
+    amp[:, -1] /= 2.0
+    k = np.arange(1, n // 2 + 1)
+    x = times / p.tau
+    waves = np.sin(2.0 * np.pi * np.mod(np.outer(k, x), 1.0)) / (2.0 * np.pi * k[:, None])
+    phi_dd, phi_de = phi[:, :1] * x + p.tau * (amp[:, 1:] @ waves)
+    return times, phi_dd, phi_de, wrap_angle(phi_dd - 2.0 * phi_de), n
+
+
 class TestPulse:
     def test_endpoints(self):
         p = reference_pulse()
@@ -91,6 +115,16 @@ class TestPulse:
             PulseShape(omega0=1.0, delta0=1.0, tau=0.0)
         with pytest.raises(ValidationError):
             PulseShape(omega0=-1.0, delta0=1.0, tau=1.0)
+
+    @pytest.mark.parametrize("field", ["omega0", "delta0", "tau"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.array([np.inf]),
+                                       np.array([1.0, 2.0])])
+    def test_fields_must_be_one_finite_number(self, field, value):
+        # an infinite tau or omega0 would run the phase ladder up to MAX_NODES;
+        # of several delta0, entangling_phase used to report the first alone
+        kwargs = {"omega0": 1.0, "delta0": 1.0, "tau": 1.0, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be one finite number"):
+            PulseShape(**kwargs)
 
 
 class TestAdiabaticEnergies:
@@ -309,6 +343,16 @@ class TestPhasePrimitive:
             assert abs(phi_dd[i] - direct[0]) <= 1e-10
             assert abs(phi_de[i] - direct[1]) <= 1e-10
 
+    @pytest.mark.parametrize("ratio", [1.278, 0.05])
+    def test_trace_equals_the_np_mod_table(self, ratio):
+        # u - floor(u) for u = k x >= 0 is exact, so the sine table keeps the
+        # bits np.mod(u, 1.0) gives, on 64 and on 128 nodes
+        p = PulseShape(TWO_PI * 0.5, ratio * TWO_PI * 0.5, 60.0)
+        *expected, n = trace_with_mod(p, REF_BLOCKADE)
+        assert n == (64 if ratio > 1 else 128)
+        for got, want in zip(phase_trace(p, REF_BLOCKADE), expected):
+            assert np.array_equal(bits(got), bits(want))
+
     @pytest.mark.parametrize("b_mhz", [0.0, 2.5, 10.0])
     def test_ladder_keeps_its_bits(self, b_mhz):
         # the look-ahead to 64 nodes returns what level-by-level calls give,
@@ -358,6 +402,58 @@ class TestPhasePrimitive:
             phase_trace(p, REF_BLOCKADE)
         # the reference design converges on 64 nodes
         entangling_phase(reference_pulse(), REF_BLOCKADE)
+
+
+class TestDesignCache:
+    """One converged integral per design point, shared by Brent and the design."""
+
+    def test_hit_equals_a_fresh_integral_and_is_read_only(self):
+        p = reference_pulse()
+        args = (p.omega0, p.delta0, p.tau, REF_BLOCKADE)
+        first = gate._design_phases(*args)
+        hit = gate._design_phases(*args)
+        assert hit is first
+        for cached, fresh in zip(hit, gate._accumulated_phases(*args)):
+            assert cached.shape == fresh.shape
+            assert np.array_equal(bits(cached), bits(fresh))
+            with pytest.raises(ValueError):
+                cached[(0,) * cached.ndim] = 0.0
+        assert entangling_phase(p, REF_BLOCKADE).phi_dd == hit[0][0, 0]
+
+    def test_numpy_scalars_and_arrays_share_an_entry(self):
+        p = reference_pulse()
+        entry = gate._design_phases(p.omega0, p.delta0, p.tau, REF_BLOCKADE)
+        for delta0 in (np.float64(p.delta0), np.array(p.delta0), np.array([p.delta0])):
+            assert gate._design_phases(np.float64(p.omega0), delta0, np.array(p.tau),
+                                       REF_BLOCKADE) is entry
+        assert gate._root_integral.cache_info().currsize == 1
+        one = entangling_phase(PulseShape(p.omega0, np.array([p.delta0]), p.tau), REF_BLOCKADE)
+        design = entangling_phase(p, REF_BLOCKADE)
+        assert (one.phi_dd, one.phi_de, one.phi_ent) == (design.phi_dd, design.phi_de,
+                                                         design.phi_ent)
+
+    def test_design_at_the_root_reuses_brents_integral(self, monkeypatch):
+        calls = []
+
+        def counting(omega_minus, e_minus, blockade):
+            calls.append(np.size(omega_minus))
+            return adiabatic_energies(omega_minus, e_minus, blockade)
+
+        monkeypatch.setattr(gate, "adiabatic_energies", counting)
+        delta0 = optimize_pulse(TWO_PI * 0.5, 60.0, REF_BLOCKADE)
+        assert calls
+        calls.clear()
+        p = PulseShape(TWO_PI * 0.5, delta0, 60.0)
+        design, trace = entangling_phase(p, REF_BLOCKADE), phase_trace(p, REF_BLOCKADE)
+        assert calls == []
+        # and they have the bits of integrating the root anew
+        gate._root_integral.cache_clear()
+        fresh = entangling_phase(p, REF_BLOCKADE)
+        assert bits([design.phi_dd, design.phi_de, design.phi_ent]).tolist() == \
+            bits([fresh.phi_dd, fresh.phi_de, fresh.phi_ent]).tolist()
+        for got, want in zip(trace, phase_trace(p, REF_BLOCKADE)):
+            assert np.array_equal(bits(got), bits(want))
+        assert calls
 
 
 class TestGateUnitary:
