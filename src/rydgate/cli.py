@@ -4,10 +4,10 @@ Subcommands: modes, fc, dress, interactions, gate, evolve. One config file
 (flag --config, else $RYDGATE_CONFIG, else built-in defaults) supplies the
 parameters. A flag that sets a run parameter is a config override: its
 dest names the key ("pulse.tau_us") and load_config parses and range-checks
-it like the file's own value. Output is deterministic: floats are
-serialized with 12 significant digits, CSV rows carry a header, JSON is
-emitted with sorted keys. Exit codes: 0 success, 2 validation/parse errors,
-3 numerical failures.
+it like the file's own value; "--delta0-mhz -1e-1" reads as
+"--delta0-mhz=-1e-1". Output is deterministic: floats are serialized with 12
+significant digits, CSV rows carry a header, JSON is emitted with sorted
+keys. Exit codes: 0 success, 2 validation/parse errors, 3 numerical failures.
 """
 
 import argparse
@@ -205,6 +205,31 @@ def _fc_n_max(raw: str) -> int:
     return value
 
 
+def _is_number(raw: str) -> bool:
+    try:
+        float(raw)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv) -> list:
+    """argv with each "--flag" followed by a negative number joined as "--flag=-1e-1".
+
+    argparse takes "-1" and "-0.5" as values but, depending on the Python
+    version, reads "-1e-1", "-inf" or "-nan" as an unknown option; joined, the
+    number reaches its flag on every version.
+    """
+    out = []
+    for raw in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and raw.startswith("-") and _is_number(raw):
+            out[-1] = f"{prev}={raw}"
+        else:
+            out.append(raw)
+    return out
+
+
 def _override(parser, flag: str, key: str, **kwargs):
     """A flag that sets config key "section.name"; load_config parses it."""
     parser.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), **kwargs)
@@ -259,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     config_path = args.config or os.environ.get(ENV_CONFIG) or None
     overrides = {key: raw for key, raw in vars(args).items()
                  if "." in key and raw is not None}

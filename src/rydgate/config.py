@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from ._dop853 import RTOL_FLOOR
 from .constants import ATOMIC_MASS, CA40_MASS, E_CHARGE, TWO_PI, mhz
 from .dressing import D1_DEFAULT, MWDrive, POL_P_DEFAULT, POL_S_DEFAULT
-from .dynamics import SimConfig
+from .dynamics import N_PHONON_MAX_LIMIT, SimConfig
 from .errors import ParseError, ValidationError
 from .gate import PulseShape
 from .trap import TrapConfig, from_secular, secular_frequencies
@@ -135,14 +135,7 @@ class RunConfig:
         return secular_frequencies(self.trap.trap_config()).omega_z
 
 
-_SECTIONS = {
-    "trap": TrapSection,
-    "dressing": DressingSection,
-    "interactions": InteractionsSection,
-    "pulse": PulseSection,
-    "simulation": SimulationSection,
-    "output": OutputSection,
-}
+_SECTIONS = {f.name: f.type for f in fields(RunConfig)}
 
 # key -> (predicate, requirement text); violations raise ValidationError
 _RANGES = {
@@ -156,7 +149,8 @@ _RANGES = {
     "tau_us": (lambda v: v > 0, "must be > 0"),
     "omega0_mhz": (lambda v: v >= 0, "must be >= 0"),
     "blockade_mhz": (lambda v: v >= 0, "must be >= 0"),
-    "n_phonon_max": (lambda v: v >= 1, "must be >= 1"),
+    "n_phonon_max": (lambda v: 1 <= v <= N_PHONON_MAX_LIMIT,
+                     f"must lie in [1, {N_PHONON_MAX_LIMIT}]"),
     "rtol": (lambda v: RTOL_FLOOR <= v <= 1e-3, f"must lie in [{RTOL_FLOOR:.3g}, 1e-3]"),
     "atol": (lambda v: 0 < v <= 1e-3, "must lie in (0, 1e-3]"),
     "n_output": (lambda v: v >= 2, "must be >= 2"),

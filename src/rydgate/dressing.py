@@ -7,14 +7,16 @@ Omega_MW with detunings Delta_P, Delta_S, mixes into dressed states
 
 with D_pm = Delta_P +- Delta_S. Because the P and S polarizabilities carry
 opposite signs, the dressed polarizability N^2 (C^2 P_P + P_S) can be tuned
-through zero, which removes the state-dependent trapping distortion.
+through zero, which removes the state-dependent trapping distortion. It
+vanishes where C_pm^2 = q = -P_S / P_P, that is at
+D_- = +-Omega (q - 1) / (2 sqrt(q)) on the upper (+) and lower (-) branch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRoot
+from .errors import DomainError, NoRoot
 
 # Reduced polarizabilities (m^2/J, conventional polarizability over q^2) of
 # the target Rydberg P and auxiliary S states. Magnitudes follow the n^7
@@ -69,29 +71,22 @@ class DressedPair:
     pol_minus: float
 
 
-def _mixing_coefficients(om: float, dm: float):
-    """C_+ and C_- evaluated without cancellation for |dm| >> om.
+def dress(drive: MWDrive, pol_p: float = POL_P_DEFAULT,
+          pol_s: float = POL_S_DEFAULT) -> DressedPair:
+    """Closed-form dressed states of the driven {P, S} manifold.
 
     The smaller-magnitude coefficient is obtained from C_+ C_- = -1 exactly,
-    avoiding the subtraction dm - sqrt(om^2 + dm^2).
+    avoiding the subtraction D_- - sqrt(Omega^2 + D_-^2) for |D_-| >> Omega.
     """
-    root = np.hypot(om, dm)
+    om = drive.omega_mw_rabi
+    dm = drive.delta_minus
+    root = drive.splitting
     if dm >= 0.0:
         c_p = (dm + root) / om
         c_m = -1.0 / c_p
     else:
         c_m = (dm - root) / om
         c_p = -1.0 / c_m
-    return c_p, c_m
-
-
-def dress(drive: MWDrive, pol_p: float = POL_P_DEFAULT,
-          pol_s: float = POL_S_DEFAULT) -> DressedPair:
-    """Closed-form dressed states of the driven {P, S} manifold."""
-    om = drive.omega_mw_rabi
-    dm = drive.delta_minus
-    root = drive.splitting
-    c_p, c_m = _mixing_coefficients(om, dm)
     n_p = 1.0 / np.sqrt(1.0 + c_p**2)
     n_m = 1.0 / np.sqrt(1.0 + c_m**2)
     return DressedPair(
@@ -106,57 +101,35 @@ def dress(drive: MWDrive, pol_p: float = POL_P_DEFAULT,
     )
 
 
-def _pol_branch(delta_minus: float, omega: float, pol_p: float, pol_s: float,
-                branch: str) -> float:
-    c_p, c_m = _mixing_coefficients(omega, delta_minus)
-    c = c_p if branch == "+" else c_m
-    return (c**2 * pol_p + pol_s) / (1.0 + c**2)
-
-
 def solve_zero_polarizability(pol_p: float, pol_s: float, omega_mw_rabi: float,
                               branch: str = "-") -> float:
     """Detuning difference Delta_- at which the chosen branch polarizability vanishes.
 
-    Requires pol_p and pol_s of opposite signs (otherwise no branch can be
-    nulled: raises NoRoot). Bisection on the closed form, which is monotone
-    in Delta_- on each branch; the search bracket is +-100 Omega.
+    The branch polarizability N^2 (C^2 pol_p + pol_s) vanishes exactly where
+    C^2 = q = -pol_s / pol_p, which needs finite pol_p and pol_s of opposite
+    signs (otherwise raises NoRoot). Solving C_pm(Delta_-) = +-sqrt(q) gives
+    Delta_- = +-Omega (q - 1) / (2 sqrt(q)), "+" on the upper branch. Raises
+    DomainError unless omega_mw_rabi is finite and positive.
     """
     if branch not in ("+", "-"):
         raise NoRoot(f"branch must be '+' or '-', got {branch!r}")
-    if pol_p * pol_s >= 0.0:
+    if not (np.isfinite(omega_mw_rabi) and omega_mw_rabi > 0.0):
+        raise DomainError(f"omega_mw_rabi must be finite and > 0, got {omega_mw_rabi}")
+    if not (pol_p * pol_s < 0.0 and np.isfinite(pol_p * pol_s)):
         raise NoRoot(
-            "zero dressed polarizability needs pol_p and pol_s of opposite signs"
+            "zero dressed polarizability needs finite pol_p and pol_s of opposite signs"
         )
-    lo, hi = -100.0 * omega_mw_rabi, 100.0 * omega_mw_rabi
-    f_lo = _pol_branch(lo, omega_mw_rabi, pol_p, pol_s, branch)
-    f_hi = _pol_branch(hi, omega_mw_rabi, pol_p, pol_s, branch)
-    if f_lo * f_hi > 0.0:
-        raise NoRoot("no polarizability sign change inside the search bracket")
-    tol = 1e-10 * abs(pol_p)
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _pol_branch(mid, omega_mw_rabi, pol_p, pol_s, branch)
-        if abs(f_mid) < tol:
-            break
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    else:
-        raise NoRoot("bisection failed to reach the polarizability tolerance")
-    return mid
+    q = -pol_s / pol_p
+    delta_minus = omega_mw_rabi * (q - 1.0) / (2.0 * np.sqrt(q))
+    return delta_minus if branch == "+" else -delta_minus
 
 
 def effective_rabi(drive: MWDrive, omega_laser_rabi: float) -> float:
     """Laser Rabi frequency into the lower dressed state.
 
-    Omega_- = Omega_MW * Omega / sqrt(4 N_-^2 (Omega_MW^2 + Delta_-^2)),
-    which is algebraically the bare Rabi frequency projected on the P
-    admixture of |->; at Delta_- = 0 it equals Omega/sqrt(2).
+    Omega_- = Omega |C_-| / sqrt(1 + C_-^2) = Omega |N_- C_-|, the bare Rabi
+    frequency projected on the P admixture of |->; at Delta_- = 0 it equals
+    Omega / sqrt(2).
     """
-    om = drive.omega_mw_rabi
-    dm = drive.delta_minus
-    _, c_m = _mixing_coefficients(om, dm)
-    n_m_sq = 1.0 / (1.0 + c_m**2)
-    return om * omega_laser_rabi / np.sqrt(4.0 * n_m_sq * (om**2 + dm**2))
+    pair = dress(drive)
+    return abs(pair.n_minus * pair.c_minus) * omega_laser_rabi

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from rydgate import franck_condon
+from rydgate import dynamics, franck_condon
 from rydgate.cli import build_parser, main
 from rydgate.config import RunConfig, load_config
 from rydgate.dynamics import SimConfig
@@ -86,6 +86,16 @@ class TestLoadConfig:
             path.write_text(f"[{section}]\n{key} = inf\n")
             with pytest.raises(ValidationError, match=f"{key} must be finite"):
                 load_config(path)
+
+    @pytest.mark.parametrize("raw", [str(dynamics.N_PHONON_MAX_LIMIT + 1), "1000000"])
+    def test_phonon_cutoff_above_limit_rejected(self, raw, tmp_path):
+        # the file shares SimConfig's limit and refuses before allocating
+        path = tmp_path / "big.cfg"
+        path.write_text(f"[simulation]\nn_phonon_max = {raw}\n")
+        with pytest.raises(ValidationError, match=r"\[simulation\] n_phonon_max must lie in \[1, 40\]"):
+            load_config(path)
+        path.write_text(f"[simulation]\nn_phonon_max = {dynamics.N_PHONON_MAX_LIMIT}\n")
+        assert load_config(path).sim_config().n_phonon_max == 40
 
     def test_unparseable_float_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -307,13 +317,40 @@ class TestCLI:
     @pytest.mark.parametrize("flag, key", [("--tau-us", "[pulse] tau_us"),
                                            ("--blockade-mhz", "[simulation] blockade_mhz"),
                                            ("--omega0-mhz", "[pulse] omega0_mhz")])
-    @pytest.mark.parametrize("raw", ["inf", "nan"])
+    @pytest.mark.parametrize("raw", ["inf", "nan", "-inf", "-nan"])
     def test_non_finite_flag_exit_code(self, flag, key, raw, tmp_path, capsys):
         # inf passed every range rule and ran the phase ladder to MAX_NODES
-        # before exiting 3 with an unconverged integral
+        # before exiting 3 with an unconverged integral; argparse took -inf
+        # for an unknown option
         out = tmp_path / "gate.json"
         assert main(["gate", flag, raw, "--output", str(out)]) == 2
-        assert f"{key} must be finite, got {raw}" in capsys.readouterr().err
+        assert f"{key} must be finite, got {float(raw)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["-1e-1", "-1E-1"])
+    def test_negative_exponent_flag_equals_joined_form(self, raw, tmp_path):
+        # argparse alone reads "-1e-1" as an unknown option on some Python versions
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["gate", "--delta0-mhz", raw, "--output", str(spaced)]) == 0
+        assert main(["gate", f"--delta0-mhz={raw}", "--output", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert json.loads(spaced.read_text())["delta0_mhz"] == -0.1
+
+    def test_flag_is_not_taken_as_a_value(self, tmp_path, capsys):
+        out = tmp_path / "gate.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gate", "--tau-us", "--optimize", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "--tau-us: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phonon_cutoff_above_limit_exit_code(self, tmp_path, capsys):
+        # a validation error (exit 2), not a MemoryError traceback from numpy
+        bad = tmp_path / "big.cfg"
+        bad.write_text("[simulation]\nn_phonon_max = 1000000\n")
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--config", str(bad), "--output", str(out)]) == 2
+        assert "[simulation] n_phonon_max must lie in [1, 40]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("raw", ["abc", "60%"])

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from rydgate import MWDrive, dress, effective_rabi, solve_zero_polarizability
 from rydgate.dressing import POL_P_DEFAULT, POL_S_DEFAULT
-from rydgate.errors import NoRoot
+from rydgate.errors import DomainError, NoRoot
 
 TWO_PI = 2 * np.pi
 
@@ -113,6 +113,47 @@ class TestZeroPolarizability:
         with pytest.raises(NoRoot):
             solve_zero_polarizability(-2.0e9, 0.925e9, TWO_PI * 400.0, branch="x")
 
+    @pytest.mark.parametrize("pol_p, pol_s", [(float("nan"), 0.925e9), (-2.0e9, float("inf")),
+                                              (-float("inf"), 0.925e9)])
+    def test_non_finite_polarizabilities_have_no_root(self, pol_p, pol_s):
+        with pytest.raises(NoRoot):
+            solve_zero_polarizability(pol_p, pol_s, TWO_PI * 400.0)
+
+    @pytest.mark.parametrize("omega", [0.0, -TWO_PI * 400.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_drive_is_domain_error(self, omega):
+        with pytest.raises(DomainError, match="omega_mw_rabi"):
+            solve_zero_polarizability(-2.0e9, 0.925e9, omega)
+
+    def test_default_null_is_exact(self):
+        # C_-^2 = q is solved exactly, so pol_- at the root is rounding only
+        # (8e-8 m^2/J here)
+        om = TWO_PI * 400.0
+        dm = solve_zero_polarizability(POL_P_DEFAULT, POL_S_DEFAULT, om)
+        assert dm == pytest.approx(TWO_PI * 158.07114375, rel=1e-10)
+        pair = dress(MWDrive(omega_mw_rabi=om, delta_s=0.0, delta_p=dm))
+        assert abs(pair.pol_minus) <= 1e-13 * abs(POL_P_DEFAULT)
+
+    def test_near_resonant_null_keeps_its_relative_accuracy(self):
+        # q = 1 + 3 eps exactly: q - 1 is exact, while sqrt(q)^2 - 1 would be
+        # 2 or 4 eps; the root is Omega (q - 1) / (2 sqrt(q)) ~ 1.5 eps Omega
+        om = TWO_PI * 400.0
+        q = 1.0 + 3 * 2.0**-52
+        dm = solve_zero_polarizability(-2.0**30, q * 2.0**30, om, branch="+")
+        assert dm == pytest.approx(1.5 * 2.0**-52 * om, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_null_over_seeded_ensemble(self, branch):
+        # |pol| 1e6-1e12 m^2/J and Omega_MW 1-1000 MHz; about 5% of these
+        # roots lie beyond 100 Omega_MW from resonance
+        rng = np.random.default_rng(20261019)
+        for _ in range(2000):
+            pol_p, pol_s = 10 ** rng.uniform(6, 12, 2) * rng.permutation([-1.0, 1.0])
+            om = TWO_PI * rng.uniform(1.0, 1000.0)
+            dm = solve_zero_polarizability(pol_p, pol_s, om, branch=branch)
+            pair = dress(MWDrive(omega_mw_rabi=om, delta_s=0.0, delta_p=dm), pol_p, pol_s)
+            pol = pair.pol_plus if branch == "+" else pair.pol_minus
+            assert abs(pol) <= 1e-13 * max(abs(pol_p), abs(pol_s))
+
 
 class TestEffectiveRabi:
     def test_zero_laser_rabi(self):
@@ -135,3 +176,15 @@ class TestEffectiveRabi:
         om = TWO_PI * 0.5
         assert effective_rabi(drive, om) == pytest.approx(
             abs(pair.n_minus * pair.c_minus) * om, rel=1e-12)
+
+    def test_is_the_p_admixture_dress_reports(self):
+        # bit for bit the amplitude |N_- C_-| of dress, over drives on both
+        # sides of resonance
+        rng = np.random.default_rng(20261020)
+        for _ in range(500):
+            drive = MWDrive(omega_mw_rabi=rng.uniform(1.0, 1e3),
+                            delta_s=rng.uniform(-1e3, 1e3),
+                            delta_p=rng.uniform(-1e3, 1e3))
+            pair = dress(drive)
+            om = rng.uniform(0.1, 10.0)
+            assert effective_rabi(drive, om) == abs(pair.n_minus * pair.c_minus) * om

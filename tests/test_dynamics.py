@@ -17,8 +17,9 @@ from rydgate import (
     phonon_excitation,
     wrap_angle,
 )
-from rydgate.dynamics import RTOL_FLOOR, basis_index
+from rydgate.dynamics import IDX_D, IDX_E, IDX_M, N_PHONON_MAX_LIMIT, RTOL_FLOOR, basis_index
 from rydgate.errors import DomainError, ValidationError
+from rydgate.gate import _accumulated_phases
 
 TWO_PI = 2 * np.pi
 
@@ -126,6 +127,28 @@ class TestHamiltonian:
             ket = basis_index(1, 1, n, 2)
             assert h[bra, ket] == pytest.approx(omega_minus / 2, rel=1e-14)
 
+    @pytest.mark.parametrize("delta0_mhz, blockade_mhz", [(0.639, 2.5), (-0.8, 1.0), (2.0, 10.0)])
+    def test_lowest_eigenvalues_are_the_design_light_shifts(self, delta0_mhz, blockade_mhz):
+        # at eta = 0 the design is the adiabatic limit of this Hamiltonian: on
+        # the nodes the design integrates, the lowest eigenvalue of the n = 0
+        # block {DD, D-, -D, --} is its E_DD and that of {DE, -E} its E_DE
+        pulse = PulseShape(omega0=TWO_PI * 0.5, delta0=TWO_PI * delta0_mhz, tau=60.0)
+        cfg = reference_config(eta=0.0, n_phonon_max=1, pulse=pulse,
+                               blockade=TWO_PI * blockade_mhz)
+        _, vals = _accumulated_phases(pulse.omega0, pulse.delta0, pulse.tau, cfg.blockade)
+        n_nodes = vals.shape[-1]
+        d, m = IDX_D, IDX_M
+        dd = [basis_index(a, b, 0, 1) for a, b in ((d, d), (d, m), (m, d), (m, m))]
+        de = [basis_index(d, IDX_E, 0, 1), basis_index(m, IDX_E, 0, 1)]
+        for k in range(n_nodes):
+            h = build_hamiltonian(pulse.tau * k / n_nodes, cfg)
+            for idx, energy in ((dd, vals[0, 0, k]), (de, vals[1, 0, k])):
+                block = h[np.ix_(idx, idx)]
+                oracle = np.linalg.eigvalsh(block)[0]
+                # the tolerance of the design's own eigvalsh check
+                norm = np.abs(block).sum()
+                assert abs(energy - oracle) <= 1e-11 * abs(oracle) + 4e-16 * norm
+
     def test_block_diagonal_without_drive(self):
         cfg = reference_config(eta=0.0)
         pulse_off = SimConfig(blockade=cfg.blockade, omega_z=cfg.omega_z, eta=0.0,
@@ -221,6 +244,14 @@ class TestEvolve:
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             reference_config(**{field: value})
+
+    def test_phonon_cutoff_bounded(self):
+        # the dense operators grow as (9 (n + 1))^2, so a huge cutoff must be
+        # refused here, before anything is allocated
+        assert reference_config(n_phonon_max=N_PHONON_MAX_LIMIT).dim == 9 * 41
+        for n in (0, N_PHONON_MAX_LIMIT + 1, 10**6):
+            with pytest.raises(ValidationError, match=r"n_phonon_max must lie in \[1, 40\]"):
+                reference_config(n_phonon_max=n)
 
     def test_rtol_below_stepper_floor_rejected(self):
         # the stepper would raise such an rtol to its floor with only a warning
