@@ -25,7 +25,7 @@ from . import dynamics, franck_condon, gate, interactions, modes
 from .config import RunConfig, load_config
 from .constants import mhz, to_mhz
 from .dressing import dress
-from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
+from .errors import ParseError, RydgateError, ValidationError
 from .trap import equilibrium_geometry
 
 ENV_CONFIG = "RYDGATE_CONFIG"
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except RydgateError as exc:  # every other package error is a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

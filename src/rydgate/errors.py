@@ -43,14 +43,3 @@ class TruncationWarning(UserWarning):
 
 class WeakDriveWarning(UserWarning):
     """The strong-drive assumption behind the pair-potential model is marginal."""
-
-
-# Numerical (as opposed to validation) failures, mapped to CLI exit code 3.
-NUMERICAL_ERRORS = (
-    Unconfined,
-    ModeInstability,
-    NoRoot,
-    SingularDenominator,
-    DomainError,
-    ToleranceFailure,
-)

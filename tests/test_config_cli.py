@@ -1,14 +1,15 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from rydgate import dynamics, franck_condon
+from rydgate import cli, dynamics, franck_condon
 from rydgate.cli import build_parser, main
 from rydgate.config import RunConfig, load_config
-from rydgate.dynamics import SimConfig
-from rydgate.errors import ParseError, TruncationWarning, ValidationError
+from rydgate.dynamics import N_OUTPUT_LIMIT, N_PHONON_MAX_LIMIT, RTOL_FLOOR, SimConfig
+from rydgate.errors import ParseError, RydgateError, TruncationWarning, ValidationError
 from rydgate.gate import wrap_angle
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -116,17 +117,49 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="format"):
             load_config(path)
 
-    def test_n_output_rule_agrees_with_sim_config(self, tmp_path):
+    @pytest.mark.parametrize("key, value, inside", [
+        ("n_phonon_max", 1, True),
+        ("n_phonon_max", N_PHONON_MAX_LIMIT, True),
+        ("n_phonon_max", 0, False),
+        ("n_phonon_max", N_PHONON_MAX_LIMIT + 1, False),
+        ("rtol", float(RTOL_FLOOR), True),
+        ("rtol", 1e-3, True),
+        ("rtol", math.nextafter(RTOL_FLOOR, 0.0), False),
+        ("rtol", math.nextafter(1e-3, 1.0), False),
+        ("atol", 5e-324, True),
+        ("atol", 1e-3, True),
+        ("atol", 0.0, False),
+        ("atol", math.nextafter(1e-3, 1.0), False),
+        ("n_output", 2, True),
+        ("n_output", N_OUTPUT_LIMIT, True),
+        ("n_output", 1, False),
+        ("n_output", N_OUTPUT_LIMIT + 1, False),
+    ])
+    def test_simulation_rule_agrees_with_sim_config(self, key, value, inside, tmp_path):
+        # the [simulation] key and the SimConfig field of one name obey one
+        # rule: both accept or both refuse, in the same words
         path = tmp_path / "t.cfg"
-        path.write_text("[simulation]\nn_output = 2\n")
-        cfg = load_config(path)
-        assert cfg.simulation.n_output == 2
-        assert cfg.sim_config().n_output == 2
-        path.write_text("[simulation]\nn_output = 1\n")
-        with pytest.raises(ValidationError, match="n_output"):
+        path.write_text(f"[simulation]\n{key} = {value!r}\n")
+        fields = {**vars(RunConfig().sim_config()), key: value}
+        if inside:
+            assert getattr(load_config(path).sim_config(), key) == value
+            assert getattr(SimConfig(**fields), key) == value
+            return
+        with pytest.raises(ValidationError) as by_file:
             load_config(path)
-        with pytest.raises(ValidationError, match="n_output"):
-            SimConfig(**{**vars(cfg.sim_config()), "n_output": 1})
+        with pytest.raises(ValidationError) as by_field:
+            SimConfig(**fields)
+        assert str(by_file.value) == f"[simulation] {by_field.value}"
+
+    @pytest.mark.parametrize("raw, inside", [("2", True), ("10000", True),
+                                             ("1", False), ("10001", False)])
+    def test_sweep_points_range(self, raw, inside):
+        if inside:
+            assert load_config(None, {"interactions.points": raw}).interactions.points == int(raw)
+        else:
+            with pytest.raises(ValidationError,
+                               match=rf"\[interactions\] points must lie in \[2, 10000\], got {raw}$"):
+                load_config(None, {"interactions.points": raw})
 
     def test_percent_sign_is_parse_error(self, tmp_path):
         # no interpolation: a stray % is an unparseable value, not a crash
@@ -351,6 +384,37 @@ class TestCLI:
         out = tmp_path / "evolve.csv"
         assert main(["evolve", "--config", str(bad), "--output", str(out)]) == 2
         assert "[simulation] n_phonon_max must lie in [1, 40]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_grid_above_limit_exit_code(self, tmp_path, capsys):
+        # a validation error (exit 2), not a MemoryError traceback from np.linspace
+        bad = tmp_path / "big.cfg"
+        bad.write_text("[simulation]\nn_output = 1000000000000\n")
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--config", str(bad), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[simulation] n_output must lie in [2, 10000], got 1000000000000" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
+
+    def test_sweep_points_above_limit_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["interactions", "--points", "1000000000000", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[interactions] points must lie in [2, 10000], got 1000000000000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", RydgateError.__subclasses__(), ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_error_class(self, error, monkeypatch, tmp_path, capsys):
+        # every package error leaves by its class: 2 for the config's, 3 for
+        # the numerical failures, never a traceback
+        def fail(cfg, args):
+            raise error("raised inside the subcommand")
+
+        monkeypatch.setitem(cli._COMMANDS, "dress", fail)
+        out = tmp_path / "dress.json"
+        code = main(["dress", "--output", str(out)])
+        assert code == (2 if error in (ParseError, ValidationError) else 3)
+        assert "raised inside the subcommand" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("raw", ["abc", "60%"])
