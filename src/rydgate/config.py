@@ -11,7 +11,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
-from .constants import ATOMIC_MASS, CA40_MASS, E_CHARGE, TWO_PI, mhz
+from .constants import ATOMIC_MASS, CA40_MASS, CA40_MASS_AMU, E_CHARGE, TWO_PI, mhz
 from .dressing import D1_DEFAULT, MWDrive, POL_P_DEFAULT, POL_S_DEFAULT
 from .dynamics import SIM_RANGES, SimConfig
 from .errors import ParseError, ValidationError
@@ -32,7 +32,7 @@ class TrapSection:
     alpha: float = _DEFAULT_TRAP.alpha          # V/m^2
     beta: float = _DEFAULT_TRAP.beta            # V/m^2
     omega_rf_mhz: float = 30.0
-    mass_amu: float = 39.962590866
+    mass_amu: float = CA40_MASS_AMU
     omega_z_mhz_override: float = None          # derives beta when set
     eta_override: float = 0.5                   # Lamb-Dicke parameter used downstream
 
@@ -96,10 +96,10 @@ class PulseSection:
 @dataclass(frozen=True)
 class SimulationSection:
     blockade_mhz: float = 2.5
-    n_phonon_max: int = 5
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    n_output: int = 201
+    n_phonon_max: int = SimConfig.n_phonon_max
+    rtol: float = SimConfig.rtol
+    atol: float = SimConfig.atol
+    n_output: int = SimConfig.n_output
     tau0_us: float = 132.0  # dressed-state lifetime for the loss estimate
 
 

@@ -12,9 +12,10 @@ E_CHARGE = 1.602176634e-19        # C
 EPSILON_0 = 8.8541878128e-12      # F/m
 HBAR = 6.62607015e-34 / (2.0 * np.pi)  # J s, from the exact SI Planck constant
 ATOMIC_MASS = 1.66053906660e-27   # kg
-CA40_MASS = 39.962590866 * ATOMIC_MASS  # kg
+CA40_MASS_AMU = 39.962590866      # u, mass of Ca-40
+CA40_MASS = CA40_MASS_AMU * ATOMIC_MASS  # kg
 
-# Coulomb energy scale for unit charges, e^2/(4 pi eps0), in J m
+# Coulomb energy scale of two singly charged ions, e^2/(4 pi eps0), in J m
 COULOMB_C0 = E_CHARGE**2 / (4.0 * np.pi * EPSILON_0)
 
 TWO_PI = 2.0 * np.pi

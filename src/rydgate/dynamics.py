@@ -66,7 +66,8 @@ class SimConfig:
     rtol, atol   : integrator step-size control
     n_output     : uniform output grid size over [0, tau]
 
-    The last four must satisfy their SIM_RANGES rules.
+    The last four must satisfy their SIM_RANGES rules; n_phonon_max and
+    n_output must be integers (int or numpy.integer, not bool).
     """
 
     blockade: float
@@ -82,6 +83,10 @@ class SimConfig:
         for name in ("blockade", "omega_z", "eta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("n_phonon_max", "n_output"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value}")
         for name, (ok, requirement) in SIM_RANGES.items():
             if not ok(getattr(self, name)):
                 raise ValidationError(f"{name} {requirement}, got {getattr(self, name)}")
@@ -132,33 +137,30 @@ def initial_state(cfg: SimConfig, electronic: str = "DD", n: int = 0) -> np.ndar
 
 
 def _operators(cfg: SimConfig):
-    """Constant matrices (H0, H_detuning, H_rabi) with H(t) = H0 + E_- H_det + Omega_- H_rabi."""
+    """(h0, h_det, H_rabi) with H(t) = diag(h0 + E_- h_det) + Omega_- H_rabi."""
     nph = cfg.n_phonon_max + 1
     a = np.diag(np.sqrt(np.arange(1, nph)), 1)
-    number = a.T @ a
-    eye_ph = np.eye(nph)
+    is_m = (np.arange(N_ELEC) == IDX_M).astype(float)
+    n_m = np.add.outer(is_m, is_m).ravel()  # ions in |-> per electronic pair state
     sigma_p = np.zeros((N_ELEC, N_ELEC))
     sigma_p[IDX_M, IDX_D] = 1.0
-    proj_m = np.zeros((N_ELEC, N_ELEC))
-    proj_m[IDX_M, IDX_M] = 1.0
     eye_e = np.eye(N_ELEC)
 
     raise_both = np.kron(sigma_p, eye_e) + np.kron(eye_e, sigma_p)
-    sideband = eye_ph + 1j * cfg.eta * (a.T + a)
+    sideband = np.eye(nph) + 1j * cfg.eta * (a.T + a)
 
-    h0 = cfg.omega_z * np.kron(np.eye(N_ELEC * N_ELEC), number) \
-        + cfg.blockade * np.kron(np.kron(proj_m, proj_m), eye_ph)
-    h_det = np.kron(np.kron(proj_m, eye_e) + np.kron(eye_e, proj_m), eye_ph)
+    h0 = np.add.outer(cfg.blockade * (n_m == 2), cfg.omega_z * np.diag(a.T @ a)).ravel()
+    h_det = np.repeat(n_m, nph)
     half_raise = 0.5 * np.kron(raise_both, sideband)
     h_rabi = half_raise + half_raise.conj().T
-    return h0, h_det.astype(complex), h_rabi
+    return h0, h_det, h_rabi
 
 
 def build_hamiltonian(t: float, cfg: SimConfig, drive=None) -> np.ndarray:
     """Hermitian H(t) on the flat basis (exact Hermiticity by construction)."""
     h0, h_det, h_rabi = _operators(cfg)
     omega_minus, e_minus = pulse_at(t, cfg.pulse) if drive is None else drive(t)
-    return h0 + e_minus * h_det + omega_minus * h_rabi
+    return np.diag(h0 + e_minus * h_det) + omega_minus * h_rabi
 
 
 def _reachable(psi0: np.ndarray, coupled: np.ndarray) -> np.ndarray:
@@ -187,11 +189,11 @@ def _propagate(cfg: SimConfig, initial, drive=None):
     h0, h_det, h_rabi = _operators(cfg)
     parts = [_reachable(psi, h_rabi != 0) for psi in initial]  # H0, H_det are diagonal
     idx = np.concatenate(parts)
-    # -i H0, -i H_det (both diagonal, kept as vectors) and -i H_rabi on the
-    # reached components. Each part is closed under H, so H couples no two
-    # parts and R is block-diagonal, one block per initial state
-    d0 = -1j * np.diag(h0)[idx]
-    d_det = -1j * np.diag(h_det)[idx]
+    # -i H0, -i H_det and -i H_rabi on the reached components. Each part is
+    # closed under H, so H couples no two parts and R is block-diagonal, one
+    # block per initial state
+    d0 = -1j * h0[idx]
+    d_det = -1j * h_det[idx]
     r = -1j * h_rabi[np.ix_(idx, idx)]
     y = np.concatenate([psi[p] for psi, p in zip(initial, parts)])
     # DOP853's error norm is an RMS over components; rescaling the

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import RAD_S_TO_RAD_US
+from .constants import COULOMB_C0, E_CHARGE, RAD_S_TO_RAD_US
 from .errors import DomainError, ModeInstability
 from .trap import CrystalGeometry, TrapConfig, secular_frequencies
 
@@ -68,7 +68,7 @@ def polarizability_shift(cfg: TrapConfig, pol: float) -> float:
     pol is the reduced polarizability P (m^2/J), i.e. the conventional SI
     polarizability divided by q^2.
     """
-    return 2.0 * cfg.charge**2 * cfg.alpha**2 * pol / cfg.mass * RAD_S_TO_RAD_US**2
+    return 2.0 * E_CHARGE**2 * cfg.alpha**2 * pol / cfg.mass * RAD_S_TO_RAD_US**2
 
 
 def build_hessian(axis: str, cfg: TrapConfig, geom: CrystalGeometry,
@@ -83,7 +83,7 @@ def build_hessian(axis: str, cfg: TrapConfig, geom: CrystalGeometry,
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
     sf = secular_frequencies(cfg)
     omega = sf.omega_z if axis == "Z" else sf.omega_rho
-    kappa = cfg.coulomb / (cfg.mass * geom.r0**3) * RAD_S_TO_RAD_US**2
+    kappa = COULOMB_C0 / (cfg.mass * geom.r0**3) * RAD_S_TO_RAD_US**2
     if axis == "Z":
         shifts = (0.0, 0.0)
     else:

@@ -1,14 +1,15 @@
 """Secular trap frequencies, two-ion crystal geometry and Lamb-Dicke parameter.
 
-Everything here is SI: gradients in V/m^2, angular frequencies in rad/s,
-lengths in m. The phonon-mode module converts to the internal rad/us units.
+Both ions are singly ionized, each carrying e = E_CHARGE. Everything here is
+SI: gradients in V/m^2, angular frequencies in rad/s, lengths in m. The
+phonon-mode module converts to the internal rad/us units.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import E_CHARGE, EPSILON_0, HBAR
+from .constants import COULOMB_C0, E_CHARGE, HBAR
 from .errors import DomainError, Unconfined
 
 
@@ -20,19 +21,12 @@ class TrapConfig:
     beta     : static field gradient (V/m^2)
     omega_rf : rf drive angular frequency (rad/s)
     mass     : ion mass (kg)
-    charge   : net ion charge (C)
     """
 
     alpha: float
     beta: float
     omega_rf: float
     mass: float
-    charge: float = E_CHARGE
-
-    @property
-    def coulomb(self) -> float:
-        """Pair Coulomb energy scale q^2/(4 pi eps0), J m."""
-        return self.charge**2 / (4.0 * np.pi * EPSILON_0)
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,7 @@ def secular_frequencies(cfg: TrapConfig) -> SecularFrequencies:
 
     Raises Unconfined if either the radial or the axial radicand is <= 0.
     """
-    q_over_m = cfg.charge / cfg.mass
+    q_over_m = E_CHARGE / cfg.mass
     axial_sq = q_over_m * cfg.beta
     if axial_sq <= 0.0:
         raise Unconfined(f"axial confinement requires beta > 0, got beta={cfg.beta}")
@@ -70,13 +64,13 @@ def secular_frequencies(cfg: TrapConfig) -> SecularFrequencies:
 def equilibrium_geometry(cfg: TrapConfig) -> CrystalGeometry:
     """Equilibrium positions of the two-ion crystal on the trap axis.
 
-    The ions sit at -+ z2_bar with z2_bar = (C0/(16 q beta))^(1/3); the trap
+    The ions sit at -+ z2_bar with z2_bar = (C0/(16 e beta))^(1/3); the trap
     restoring force M omega_z^2 z2_bar balances the Coulomb repulsion
     C0/(2 z2_bar)^2 there.
     """
     if cfg.beta <= 0.0:
         raise Unconfined(f"equilibrium geometry requires beta > 0, got beta={cfg.beta}")
-    z2 = (cfg.coulomb / (16.0 * cfg.charge * cfg.beta)) ** (1.0 / 3.0)
+    z2 = (COULOMB_C0 / (16.0 * E_CHARGE * cfg.beta)) ** (1.0 / 3.0)
     return CrystalGeometry(z2_bar=z2, r0=2.0 * z2)
 
 
@@ -92,11 +86,10 @@ def lamb_dicke(k_laser: float, omega_z: float, mass: float) -> float:
     return k_laser * xi_z / np.sqrt(2.0)
 
 
-def from_secular(omega_z: float, omega_rho: float, omega_rf: float, mass: float,
-                 charge: float = E_CHARGE) -> TrapConfig:
+def from_secular(omega_z: float, omega_rho: float, omega_rf: float, mass: float) -> TrapConfig:
     """Invert the secular-frequency formulas to obtain trap gradients."""
     if omega_z <= 0.0 or omega_rho <= 0.0:
         raise Unconfined("target secular frequencies must be positive")
-    beta = mass * omega_z**2 / (4.0 * charge)
-    alpha = (mass * omega_rf / charge) * np.sqrt(omega_rho**2 / 2.0 + omega_z**2 / 4.0)
-    return TrapConfig(alpha=alpha, beta=beta, omega_rf=omega_rf, mass=mass, charge=charge)
+    beta = mass * omega_z**2 / (4.0 * E_CHARGE)
+    alpha = (mass * omega_rf / E_CHARGE) * np.sqrt(omega_rho**2 / 2.0 + omega_z**2 / 4.0)
+    return TrapConfig(alpha=alpha, beta=beta, omega_rf=omega_rf, mass=mass)

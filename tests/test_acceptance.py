@@ -16,7 +16,7 @@ import pytest
 from scipy.linalg import expm
 
 import rydgate as rg
-from rydgate.constants import CA40_MASS, TWO_PI, mhz, to_mhz
+from rydgate.constants import CA40_MASS, COULOMB_C0, TWO_PI, mhz, to_mhz
 from rydgate.dressing import D1_DEFAULT
 from rydgate.errors import WeakDriveWarning
 
@@ -252,7 +252,7 @@ def test_criterion_9_geometry():
     sf = rg.secular_frequencies(trap)
     r0_um = geom.r0 * 1e6
     trap_force = trap.mass * sf.omega_z**2 * geom.z2_bar
-    coulomb_force = trap.coulomb / (2 * geom.z2_bar) ** 2
+    coulomb_force = COULOMB_C0 / (2 * geom.z2_bar) ** 2
     residual = abs(trap_force - coulomb_force) / coulomb_force
     ok = abs(r0_um - 5.6) <= 0.05 and residual < 1e-10 and abs(r0_um - 5.0) / 5.0 < 0.15
     assert report(9, ok, f"R0 = {r0_um:.4f} um (~5.6 um, near the 5 um operating "

@@ -161,6 +161,12 @@ class TestLoadConfig:
                                match=rf"\[interactions\] points must lie in \[2, 10000\], got {raw}$"):
                 load_config(None, {"interactions.points": raw})
 
+    def test_default_run_settings_are_sim_config_defaults(self):
+        # [simulation]'s n_phonon_max, rtol, atol and n_output default to SimConfig's
+        sim = RunConfig().sim_config()
+        assert sim == SimConfig(blockade=sim.blockade, omega_z=sim.omega_z, eta=sim.eta,
+                                pulse=sim.pulse)
+
     def test_percent_sign_is_parse_error(self, tmp_path):
         # no interpolation: a stray % is an unparseable value, not a crash
         path = tmp_path / "bad.cfg"
@@ -330,6 +336,16 @@ class TestCLI:
         }
         assert summary["norm_drift"] < 1e-8
 
+    def test_evolve_without_output_writes_stdout_and_stderr(self, tmp_path, capsys):
+        # the CSV goes to stdout and the summary to stderr, with the file outputs' bytes
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--config", GATE_DYNAMICS_CFG, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["evolve", "--config", GATE_DYNAMICS_CFG]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == out.read_bytes()
+        assert captured.err.encode() == (tmp_path / "evolve.csv.summary.json").read_bytes()
+
     @pytest.mark.parametrize("option", ["--config", "--output"])
     def test_option_before_subcommand_rejected(self, tmp_path, option, capsys):
         # options belong to the subcommand; before it they must be rejected,
@@ -429,6 +445,15 @@ class TestCLI:
         assert main(["interactions", "--config", str(cfgfile), "--points", "50",
                      "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 51
+
+    @pytest.mark.parametrize("r_max", ["3", "2.5"], ids=["equal", "reversed"])
+    def test_sweep_bounds_out_of_order_exit_code(self, r_max, tmp_path, capsys):
+        cfgfile = tmp_path / "r.cfg"
+        cfgfile.write_text(f"[interactions]\nr_min_um = 3\nr_max_um = {r_max}\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["interactions", "--config", str(cfgfile), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [interactions] r_min_um must be < r_max_um\n"
+        assert not out.exists()
 
     def test_r_max_flag_overrides_file_before_range_check(self, tmp_path):
         cfgfile = tmp_path / "r.cfg"

@@ -253,6 +253,31 @@ class TestEvolve:
             with pytest.raises(ValidationError, match=r"n_phonon_max must lie in \[1, 40\]"):
                 reference_config(n_phonon_max=n)
 
+    @pytest.mark.parametrize("field", ["n_phonon_max", "n_output"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), True],
+                             ids=["2.5", "3.0", "float64", "True"])
+    def test_non_integer_counts_rejected(self, field, value):
+        # a float count would reach numpy's shape arguments as a TypeError
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
+            reference_config(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        short = PulseShape(TWO_PI * 0.5, TWO_PI * 0.639, 6.0)
+        plain = entangling_phase_dynamic(reference_config(n_phonon_max=3, n_output=11,
+                                                          pulse=short))
+        numpy_ints = entangling_phase_dynamic(reference_config(
+            n_phonon_max=np.int64(3), n_output=np.int64(11), pulse=short))
+        for key in ("trace_dd", "trace_de"):
+            assert np.array_equal(plain[key].states, numpy_ints[key].states)
+            assert plain[key].nfev == numpy_ints[key].nfev
+        assert plain["phi_ent_dynamic"] == numpy_ints["phi_ent_dynamic"]
+
+    @pytest.mark.parametrize("labels", [(-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 3, 0),
+                                        (0, 0, -1), (0, 0, 6)])
+    def test_basis_index_rejects_out_of_range_labels(self, labels):
+        with pytest.raises(DomainError, match="basis labels out of range"):
+            basis_index(*labels, 5)
+
     def test_rtol_below_stepper_floor_rejected(self):
         # the stepper would raise such an rtol to its floor with only a warning
         with pytest.raises(ValidationError, match="rtol"):

@@ -46,6 +46,17 @@ class TestVdw:
             vdw_shift(TWO_PI * 300.0, 0.0)
 
 
+@pytest.mark.parametrize("r0", [0.0, -1.0])
+@pytest.mark.parametrize("shift", [
+    lambda r0: vdw_shift(TWO_PI * 300.0, r0),
+    lambda r0: dd_shift(TWO_PI * 309.0, r0),
+    lambda r0: pair_potential_full(reference_drive(), r0=r0),
+], ids=["vdw_shift", "dd_shift", "pair_potential_full"])
+def test_separation_must_be_positive(shift, r0):
+    with pytest.raises(DomainError, match="separation must be positive"):
+        shift(r0)
+
+
 class TestDDCoefficients:
     def test_calibrated_c3_minus(self):
         pair = dress(reference_drive())

@@ -10,6 +10,7 @@ from rydgate import (
     lamb_dicke,
     secular_frequencies,
 )
+from rydgate.constants import COULOMB_C0
 from rydgate.errors import DomainError, Unconfined
 
 TWO_PI = 2 * np.pi
@@ -80,7 +81,7 @@ def test_force_balance_residual():
     sf = secular_frequencies(cfg)
     geom = equilibrium_geometry(cfg)
     trap_force = cfg.mass * sf.omega_z**2 * geom.z2_bar
-    coulomb_force = cfg.coulomb / (2 * geom.z2_bar) ** 2
+    coulomb_force = COULOMB_C0 / (2 * geom.z2_bar) ** 2
     assert abs(trap_force - coulomb_force) / coulomb_force < 1e-12
 
 
