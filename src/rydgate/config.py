@@ -11,12 +11,12 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
-from .constants import ATOMIC_MASS, CA40_MASS, CA40_MASS_AMU, E_CHARGE, TWO_PI, mhz
+from .constants import ATOMIC_MASS, CA40_MASS, CA40_MASS_AMU, TWO_PI, mhz
 from .dressing import D1_DEFAULT, MWDrive, POL_P_DEFAULT, POL_S_DEFAULT
 from .dynamics import SIM_RANGES, SimConfig
 from .errors import ParseError, ValidationError
 from .gate import PulseShape
-from .trap import TrapConfig, from_secular, secular_frequencies
+from .trap import TrapConfig, axial_gradient, from_secular, secular_frequencies
 
 # Default trap operating point: Ca-40, axial 1 MHz, radial 4 MHz, rf 30 MHz.
 _DEFAULT_TRAP = from_secular(
@@ -40,7 +40,7 @@ class TrapSection:
         mass = self.mass_amu * ATOMIC_MASS
         beta = self.beta
         if self.omega_z_mhz_override is not None:
-            beta = mass * (mhz(self.omega_z_mhz_override) * 1e6) ** 2 / (4.0 * E_CHARGE)
+            beta = axial_gradient(mhz(self.omega_z_mhz_override) * 1e6, mass)
         return TrapConfig(
             alpha=self.alpha,
             beta=beta,

@@ -11,9 +11,12 @@ trapezoid rule on nested uniform grids, exponentially convergent, serves
 entangling_phase, optimize_pulse (its scan as one array) and phase_trace.
 Most single delta0 settle on 32 or 64 nodes, so the first light-shift call
 of an integral covers 64 nodes at once; finer grids add odd nodes only for
-the delta0 that still move. The optimizer's scan needs only the sign of
-phi_ent - pi on each row, so a row far from the root stops once its sign is
-settled; the two rows that bracket the root are integrated again, converged.
+the delta0 that still move. The pulse shape on each grid does not depend on
+delta0, so its tables are built once per process and shared. The
+optimizer's scan needs only the sign of phi_ent - pi on each row, so a row
+far from the root stops once its sign is settled; the two rows that bracket
+the root are integrated again, converged, starting from their columns of the
+scan's 64-node call instead of evaluating those nodes anew.
 The converged integral of one design point (omega0, delta0, tau, B) is kept
 (the last 16), so Brent's evaluation at the root serves entangling_phase and
 phase_trace there. phase_trace's sine table takes the fractional part of
@@ -134,7 +137,9 @@ def _light_shift_dd(om, e, blockade):
     for _ in range(EIG_MAX_STEPS):
         poly = ((k2 - lam) * lam + k1) * lam - k0
         slope = (two_k2 - 3.0 * lam) * lam + k1
-        step = poly / (slope - _TINY) * moving
+        step = poly / (slope - _TINY)
+        if moving is not True:  # the first step moves every entry
+            step = step * moving
         lam = lam - step
         moving = moving & (abs(step) > EIG_STEP_RTOL * abs(lam))
         if not moving.any():
@@ -193,32 +198,56 @@ def gate_unitary(phi_ent: float, phi_de: float) -> np.ndarray:
     )
 
 
-def _accumulated_phases(omega0, delta0, tau, blockade, target=None):
+@functools.lru_cache(maxsize=None)  # n is a power of two <= MAX_NODES: a few entries
+def _node_tables(n, odd):
+    """sin^2(pi x) and 0.5 + cos^2(pi x) at x = j / n, or (j + 1/2) / n if odd; read-only.
+
+    The pulse shape at the ladder's nodes does not depend on delta0, so each
+    table is built once per process and shared by every integral; all the
+    levels up to MAX_NODES take about 2 MB.
+    """
+    x = (np.arange(n) + 0.5) / n if odd else np.arange(n) / n
+    sin2, cos2_half = np.sin(np.pi * x) ** 2, 0.5 + np.cos(np.pi * x) ** 2
+    sin2.flags.writeable = cos2_half.flags.writeable = False
+    return sin2, cos2_half
+
+
+def _ladder_energies(omega0, delta0, blockade, n, odd=False):
+    """(E_DD, E_DE) as (2, len(delta0), n) on _node_tables(n, odd), one light-shift call."""
+    sin2, cos2_half = _node_tables(n, odd)
+    e = delta0[:, None] * cos2_half
+    out = np.empty((2,) + e.shape)
+    out[0], out[1] = adiabatic_energies(np.broadcast_to(omega0 * sin2, e.shape), e, blockade)
+    return out
+
+
+def _look_ahead(omega0, delta0, blockade):
+    """The ladder's first energy call: each row of a 1-D delta0 on 64 nodes, MAX_NODES if lower."""
+    return _ladder_energies(omega0, delta0, blockade, max(16, min(64, MAX_NODES)))
+
+
+def _accumulated_phases(omega0, delta0, tau, blockade, target=None, ahead=None):
     """Trapezoid integrals (2, m) of (E_DD, E_DE) over the pulse, one column per delta0.
 
     N doubles from 16 until a doubling moves no integral of a row by more than
     QUAD_ABS_TOL. Given a target, a row also stops once its phi_DD - 2 phi_DE
     - target lies farther from 0 than SIGN_MARGIN times the doubling's change
     |d phi_DD| + 2 |d phi_DE|; its integrals are then that level's, good for
-    the sign of phi_ent - target only. The first energy call covers every row
-    on 64 nodes (fewer if MAX_NODES is lower), and the 16- and 32-node levels
-    are every fourth and second of them; past 64, each doubling adds the odd
-    nodes of the rows not done. The nodes are exact dyadic fractions and each
-    entry of _light_shift_dd stops on its own Newton step, so every level has
-    the bits of evaluating it on its own. Also returns the nodes (2, k, N) of
-    the k rows done last.
+    the sign of phi_ent - target only. The first energy call, _look_ahead,
+    covers every row on 64 nodes, and the 16- and 32-node levels are every
+    fourth and second of them; a caller that already holds those columns
+    passes them as ahead, and the ladder makes no call for levels they cover.
+    Past 64, each doubling adds the odd nodes of the rows not done. Every
+    call takes the pulse shape from the shared _node_tables. The nodes are
+    exact dyadic fractions and each entry of _light_shift_dd stops on its own
+    Newton step, so every level has the bits of evaluating it on its own.
+    Also returns the nodes (2, k, N) of the k rows done last.
     """
-    def energies(d, x):  # at pulse fractions x = t / tau, shape (2, len(d), len(x))
-        om = omega0 * np.sin(np.pi * x) ** 2
-        e = d[:, None] * (0.5 + np.cos(np.pi * x) ** 2)
-        out = np.empty((2,) + e.shape)
-        out[0], out[1] = adiabatic_energies(np.broadcast_to(om, e.shape), e, blockade)
-        return out
-
     delta0 = np.atleast_1d(np.asarray(delta0, dtype=float))
     phi, rows = np.empty((2, delta0.size)), np.arange(delta0.size)
-    n_ahead = max(16, min(64, MAX_NODES))
-    ahead = energies(delta0, np.arange(n_ahead) / n_ahead)
+    if ahead is None:
+        ahead = _look_ahead(omega0, delta0, blockade)
+    n_ahead = ahead.shape[-1]
     vals = ahead[..., ::n_ahead // 16].copy()
     prev = tau * (vals.sum(axis=-1) / 16)  # np.mean's own sum and divide
     while vals.shape[-1] < MAX_NODES:
@@ -226,7 +255,7 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None):
         if n <= n_ahead:  # contiguous, so the sum runs as over a level made alone
             vals = ahead[..., ::n_ahead // n].copy()
         else:
-            odd = energies(delta0[rows], (np.arange(n // 2) + 0.5) / (n // 2))
+            odd = _ladder_energies(omega0, delta0[rows], blockade, n // 2, odd=True)
             vals = np.stack([vals, odd], axis=-1).reshape(2, rows.size, n)
         new = tau * (vals.sum(axis=-1) / n)
         change = np.abs(new - prev)
@@ -234,6 +263,9 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None):
         if target is not None:
             done |= (np.abs(new[0] - 2.0 * new[1] - target)
                      > SIGN_MARGIN * (change[0] + 2.0 * change[1]))
+        if not done.any():  # every row goes on: no subsets to take
+            prev = new
+            continue
         phi[:, rows[done]] = new[:, done]
         if done.all():
             return phi, vals
@@ -360,8 +392,8 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
     if omega0 <= 0.0:
         raise NoRoot("phase is independent of delta0 when omega0 = 0")
 
-    def objective(delta0, target=None):  # one value per entry of delta0
-        phi, _ = _accumulated_phases(omega0, delta0, tau, blockade, target)
+    def objective(delta0, target=None, ahead=None):  # one value per entry of delta0
+        phi, _ = _accumulated_phases(omega0, delta0, tau, blockade, target, ahead)
         return phi[0] - 2.0 * phi[1] - np.pi
 
     def converged(delta0):  # Brent's objective, kept for entangling_phase and phase_trace
@@ -369,12 +401,13 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
         return float(phi[0, 0] - 2.0 * phi[1, 0] - np.pi)
 
     grid = np.geomspace(1e-3 * omega0, 50.0 * omega0, 40)
-    values = objective(grid, np.pi)  # signs only; a row stopped early is nonzero
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+    ahead = _look_ahead(omega0, grid, blockade)
+    values = objective(grid, np.pi, ahead)  # signs only; a row stopped early is nonzero
+    for i, (a, b, fa, fb) in enumerate(zip(grid[:-1], grid[1:], values[:-1], values[1:])):
         if fa == 0.0:
             return float(a)
-        if fa * fb < 0.0:
-            fa, fb = objective(np.array([a, b]))
+        if fa * fb < 0.0:  # converged from the two rows' columns of the scan's look-ahead
+            fa, fb = objective(grid[i:i + 2], ahead=ahead[:, i:i + 2])
             if not fa * fb < 0.0:
                 raise ToleranceFailure(
                     f"the scan's sign change in [{a}, {b}] is gone once converged")

@@ -87,12 +87,13 @@ def pair_potential_full(drive: MWDrive, r0: float = 5.0) -> np.ndarray:
             WeakDriveWarning,
             stacklevel=2,
         )
-    half = 0.5 * drive.omega_mw_rabi
-    h1 = np.array([[drive.delta_p, half], [half, drive.delta_s]])
-    eye = np.eye(2)
-    h = np.kron(h1, eye) + np.kron(eye, h1)
-    h[1, 2] += g
-    h[2, 1] += g
+    # h1 (x) 1 + 1 (x) h1 with h1 = [[Delta_P, Omega/2], [Omega/2, Delta_S]], plus
+    # the exchange, entry by entry as the two Kronecker products sum them
+    dp, ds, half = drive.delta_p, drive.delta_s, 0.5 * drive.omega_mw_rabi
+    h = np.array([[dp + dp, half, half, 0.0],
+                  [half, dp + ds, g, half],
+                  [half, g, ds + dp, half],
+                  [0.0, half, half, ds + ds]])
     return np.sort(np.linalg.eigvalsh(h))
 
 

@@ -86,10 +86,15 @@ def lamb_dicke(k_laser: float, omega_z: float, mass: float) -> float:
     return k_laser * xi_z / np.sqrt(2.0)
 
 
+def axial_gradient(omega_z: float, mass: float) -> float:
+    """Static gradient beta = M omega_z^2 / (4 e) (V/m^2) giving the axial frequency omega_z."""
+    return mass * omega_z**2 / (4.0 * E_CHARGE)
+
+
 def from_secular(omega_z: float, omega_rho: float, omega_rf: float, mass: float) -> TrapConfig:
     """Invert the secular-frequency formulas to obtain trap gradients."""
     if omega_z <= 0.0 or omega_rho <= 0.0:
         raise Unconfined("target secular frequencies must be positive")
-    beta = mass * omega_z**2 / (4.0 * E_CHARGE)
+    beta = axial_gradient(omega_z, mass)
     alpha = (mass * omega_rf / E_CHARGE) * np.sqrt(omega_rho**2 / 2.0 + omega_z**2 / 4.0)
     return TrapConfig(alpha=alpha, beta=beta, omega_rf=omega_rf, mass=mass)

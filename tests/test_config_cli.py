@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from rydgate import cli, dynamics, franck_condon
+from rydgate import cli, dynamics, franck_condon, from_secular
 from rydgate.cli import build_parser, main
 from rydgate.config import RunConfig, load_config
+from rydgate.constants import CA40_MASS, mhz
 from rydgate.dynamics import N_OUTPUT_LIMIT, N_PHONON_MAX_LIMIT, RTOL_FLOOR, SimConfig
 from rydgate.errors import ParseError, RydgateError, TruncationWarning, ValidationError
 from rydgate.gate import wrap_angle
@@ -188,6 +189,16 @@ class TestLoadConfig:
         path.write_text("[trap]\nomega_z_mhz_override = 2.0\n")
         cfg = load_config(path)
         assert cfg.trap_omega_z() == pytest.approx(2 * np.pi * 2e6, rel=1e-12)
+
+    def test_omega_z_override_is_from_secular_beta(self):
+        # the override and from_secular state one axial law, so beta keeps its
+        # bits; a reordered product differs in about a quarter of these values
+        for omega_z_mhz in np.geomspace(0.1, 10.0, 40).tolist():
+            cfg = load_config(None, {"trap.omega_z_mhz_override": repr(omega_z_mhz)})
+            omega_z = mhz(omega_z_mhz) * 1e6
+            expected = from_secular(omega_z, 4.0 * omega_z, 30.0 * omega_z, CA40_MASS).beta
+            beta = cfg.trap.trap_config().beta
+            assert np.float64(beta).view(np.uint64) == np.float64(expected).view(np.uint64)
 
 
 @pytest.mark.filterwarnings("ignore::rydgate.errors.TruncationWarning")

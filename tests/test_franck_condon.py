@@ -16,10 +16,10 @@ from rydgate import (
     from_secular,
 )
 from rydgate import franck_condon
+from rydgate.constants import CA40_MASS
 from rydgate.errors import DomainError, TruncationWarning
 
 TWO_PI = 2 * np.pi
-CA40 = 39.962590866 * 1.66053906660e-27
 
 
 def oscillator_eigenfunction(n, w, x):
@@ -133,7 +133,7 @@ class TestOverlap1D:
 
 @pytest.fixture(scope="module")
 def bases():
-    trap = from_secular(TWO_PI * 1e6, TWO_PI * 4e6, TWO_PI * 30e6, CA40)
+    trap = from_secular(TWO_PI * 1e6, TWO_PI * 4e6, TWO_PI * 30e6, CA40_MASS)
     geom = equilibrium_geometry(trap)
 
     def make(pol):

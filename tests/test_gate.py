@@ -371,6 +371,20 @@ class TestPhasePrimitive:
         # rows settle at every level the look-ahead covers and past it
         assert {32, 64, 128, 256, 512} <= levels
 
+    def test_node_tables_are_shared_and_read_only(self):
+        # the pulse shape on the nodes is built once per (n, odd), with the
+        # bits of the expressions the ladder used to evaluate per call
+        for n, odd in ((64, False), (32, True), (256, True)):
+            tables = gate._node_tables(n, odd)
+            assert gate._node_tables(n, odd) is tables
+            x = (np.arange(n) + 0.5) / n if odd else np.arange(n) / n
+            expected = (np.sin(np.pi * x) ** 2, 0.5 + np.cos(np.pi * x) ** 2)
+            for table, want in zip(tables, expected):
+                assert np.array_equal(bits(table), bits(want))
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1.0
+
     @pytest.mark.parametrize("cap", [32, 64])
     def test_node_cap_bounds_the_look_ahead(self, monkeypatch, cap):
         # delta0 = 1e-3 omega0 needs 512 nodes; under a lower cap it raises,
@@ -498,8 +512,9 @@ class TestOptimizePulse:
             optimize_pulse(TWO_PI * 0.5, 60.0, 0.0)
 
     def test_scan_stays_on_the_look_ahead(self, monkeypatch):
-        # the 40 scan rows take one 64-node call, the bracket one 2-row call,
-        # and Brent starts from the bracket's converged values
+        # the 40 scan rows take one 64-node call; the bracket converges on its
+        # rows' columns of it, with no call of its own, and Brent starts from
+        # the bracket's converged values
         entries, ends = [], []
 
         def counting(omega_minus, e_minus, blockade):
@@ -513,7 +528,7 @@ class TestOptimizePulse:
         monkeypatch.setattr(gate, "adiabatic_energies", counting)
         monkeypatch.setattr(gate, "_brent", record_ends)
         optimize_pulse(TWO_PI * 0.5, 60.0, REF_BLOCKADE)
-        assert sum(entries) <= 40 * 64 + 2 * 64
+        assert entries == [40 * 64]
         (a, b, fa, fb), = ends
         for delta0, value in ((a, fa), (b, fb)):
             design = entangling_phase(PulseShape(TWO_PI * 0.5, delta0, 60.0), REF_BLOCKADE)
@@ -550,8 +565,8 @@ class TestOptimizePulse:
         # a settled sign that the converged values contradict must not reach Brent
         ladder = gate._accumulated_phases
 
-        def false_change(omega0, delta0, tau, blockade, target=None):
-            phi, vals = ladder(omega0, delta0, tau, blockade, target)
+        def false_change(omega0, delta0, tau, blockade, target=None, ahead=None):
+            phi, vals = ladder(omega0, delta0, tau, blockade, target, ahead)
             if target is not None:  # phi_ent - pi = +1, -1 on the first two rows
                 phi[0, :2] = 2.0 * phi[1, :2] + np.pi + np.array([1.0, -1.0])
             return phi, vals

@@ -15,6 +15,7 @@ from rydgate import (
 )
 from rydgate.dressing import D1_DEFAULT
 from rydgate.errors import DomainError, WeakDriveWarning
+from rydgate.interactions import exchange_coupling
 
 TWO_PI = 2 * np.pi
 
@@ -23,6 +24,17 @@ def reference_drive():
     return MWDrive(omega_mw_rabi=TWO_PI * 400.0,
                    delta_s=TWO_PI * 136.074,
                    delta_p=TWO_PI * 293.957)
+
+
+def kron_pair_hamiltonian(drive, r0):
+    """Reference 4x4 pair Hamiltonian: h1 (x) 1 + 1 (x) h1 by np.kron, plus the exchange."""
+    half = 0.5 * drive.omega_mw_rabi
+    h1 = np.array([[drive.delta_p, half], [half, drive.delta_s]])
+    h = np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h1)
+    g = exchange_coupling(drive.d1, r0)
+    h[1, 2] += g
+    h[2, 1] += g
+    return h
 
 
 class TestVdw:
@@ -132,16 +144,34 @@ class TestPairPotentialFull:
         drive = reference_drive()
         # swap = permutation exchanging PS and SP in the {PP, PS, SP, SS} basis
         swap = np.eye(4)[[0, 2, 1, 3]]
-        half = 0.5 * drive.omega_mw_rabi
-        h1 = np.array([[drive.delta_p, half], [half, drive.delta_s]])
-        h = np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h1)
-        from rydgate.interactions import exchange_coupling
-        g = exchange_coupling(D1_DEFAULT, 5.0)
-        h[1, 2] += g
-        h[2, 1] += g
+        h = kron_pair_hamiltonian(drive, 5.0)
         swapped = swap @ h @ swap.T
         assert np.allclose(np.linalg.eigvalsh(h), np.linalg.eigvalsh(swapped),
                            rtol=1e-14, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eigenvalues_equal_the_kronecker_sum_bit_for_bit(self, seed):
+        # the matrix is filled entry by entry, as the two Kronecker products
+        # sum it: negative detunings, Omega_MW = 0, d1 = 0 and separations
+        # inside the weak-drive range keep the bits of the np.kron form
+        rng = np.random.default_rng(seed)
+        cases = []
+        for _ in range(300):
+            omega = TWO_PI * rng.uniform(0.0, 800.0)
+            delta_s, delta_p = TWO_PI * rng.uniform(-500.0, 500.0, 2)
+            d1 = rng.uniform(0.0, 3.0) * D1_DEFAULT
+            r0 = rng.uniform(0.5, 12.0)
+            cases += [(MWDrive(omega, delta_s, delta_p, d1), r0),
+                      (MWDrive(0.0, delta_s, delta_p, d1), r0),
+                      (MWDrive(omega, delta_s, delta_p, 0.0), r0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", WeakDriveWarning)
+            for drive, r0 in cases:
+                reference = np.sort(np.linalg.eigvalsh(kron_pair_hamiltonian(drive, r0)))
+                eigs = pair_potential_full(drive, r0=r0)
+                assert np.array_equal(eigs.view(np.uint64), reference.view(np.uint64))
+        assert len(caught) >= 100
+        assert min(delta for drive, _ in cases for delta in (drive.delta_s, drive.delta_p)) < 0
 
     def test_weak_drive_warning_at_close_range(self):
         with pytest.warns(WeakDriveWarning):

@@ -9,15 +9,15 @@ from rydgate import (
     polarizability_shift,
     secular_frequencies,
 )
+from rydgate.constants import CA40_MASS
 from rydgate.errors import DomainError, ModeInstability
 
 TWO_PI = 2 * np.pi
-CA40 = 39.962590866 * 1.66053906660e-27
 
 
 @pytest.fixture(scope="module")
 def trap():
-    return from_secular(TWO_PI * 1e6, TWO_PI * 4e6, TWO_PI * 30e6, CA40)
+    return from_secular(TWO_PI * 1e6, TWO_PI * 4e6, TWO_PI * 30e6, CA40_MASS)
 
 
 @pytest.fixture(scope="module")

@@ -10,16 +10,15 @@ from rydgate import (
     lamb_dicke,
     secular_frequencies,
 )
-from rydgate.constants import COULOMB_C0
+from rydgate.constants import CA40_MASS, COULOMB_C0
 from rydgate.errors import DomainError, Unconfined
 
 TWO_PI = 2 * np.pi
-CA40 = 39.962590866 * const.atomic_mass
 
 
 def ca40_trap(omega_z_hz=1e6, omega_rho_hz=4e6, omega_rf_hz=30e6):
     return from_secular(TWO_PI * omega_z_hz, TWO_PI * omega_rho_hz,
-                        TWO_PI * omega_rf_hz, CA40)
+                        TWO_PI * omega_rf_hz, CA40_MASS)
 
 
 def test_round_trip_secular_frequencies():
@@ -30,13 +29,13 @@ def test_round_trip_secular_frequencies():
 
 
 def test_beta_zero_is_unconfined():
-    cfg = TrapConfig(alpha=1e9, beta=0.0, omega_rf=TWO_PI * 30e6, mass=CA40)
+    cfg = TrapConfig(alpha=1e9, beta=0.0, omega_rf=TWO_PI * 30e6, mass=CA40_MASS)
     with pytest.raises(Unconfined):
         secular_frequencies(cfg)
 
 
 def test_weak_rf_gradient_is_radially_unconfined():
-    cfg = TrapConfig(alpha=1e3, beta=4e6, omega_rf=TWO_PI * 30e6, mass=CA40)
+    cfg = TrapConfig(alpha=1e3, beta=4e6, omega_rf=TWO_PI * 30e6, mass=CA40_MASS)
     with pytest.raises(Unconfined):
         secular_frequencies(cfg)
 
@@ -56,7 +55,7 @@ def test_separation_matches_direct_constant_arithmetic():
     cfg = ca40_trap()
     geom = equilibrium_geometry(cfg)
     c0 = const.e**2 / (4 * np.pi * const.epsilon_0)
-    z2_direct = (c0 / (4 * CA40 * (TWO_PI * 1e6) ** 2)) ** (1 / 3)
+    z2_direct = (c0 / (4 * CA40_MASS * (TWO_PI * 1e6) ** 2)) ** (1 / 3)
     assert geom.z2_bar == pytest.approx(z2_direct, rel=1e-12)
     assert geom.r0 == pytest.approx(2 * z2_direct, rel=1e-12)
     assert geom.r0 * 1e6 == pytest.approx(5.6, abs=0.05)  # ~5.6 um operating point
@@ -86,7 +85,7 @@ def test_force_balance_residual():
 
 
 def test_equilibrium_rejects_nonpositive_beta():
-    cfg = TrapConfig(alpha=1e9, beta=-1.0, omega_rf=TWO_PI * 30e6, mass=CA40)
+    cfg = TrapConfig(alpha=1e9, beta=-1.0, omega_rf=TWO_PI * 30e6, mass=CA40_MASS)
     with pytest.raises(Unconfined):
         equilibrium_geometry(cfg)
 
@@ -105,26 +104,26 @@ def test_omega_z_invariant_under_joint_mass_beta_scaling(s):
 
 class TestLambDicke:
     def test_zero_wavenumber(self):
-        assert lamb_dicke(0.0, TWO_PI * 1e6, CA40) == 0.0
+        assert lamb_dicke(0.0, TWO_PI * 1e6, CA40_MASS) == 0.0
 
     def test_quadrupling_frequency_halves_eta(self):
         k = TWO_PI / 123e-9
-        eta1 = lamb_dicke(k, TWO_PI * 1e6, CA40)
-        eta4 = lamb_dicke(k, TWO_PI * 4e6, CA40)
+        eta1 = lamb_dicke(k, TWO_PI * 1e6, CA40_MASS)
+        eta4 = lamb_dicke(k, TWO_PI * 4e6, CA40_MASS)
         assert eta4 == pytest.approx(eta1 / 2, rel=1e-12)
 
     def test_matches_cm_mode_oscillator_length(self):
         # oracle: xi_z = sqrt(hbar / (2 * 2M * omega_z)) for the in-phase mode
         k = TWO_PI / 123e-9
         omega_z = TWO_PI * 1e6
-        xi = np.sqrt(const.hbar / (2 * (2 * CA40) * omega_z))
-        assert lamb_dicke(k, omega_z, CA40) == pytest.approx(
+        xi = np.sqrt(const.hbar / (2 * (2 * CA40_MASS) * omega_z))
+        assert lamb_dicke(k, omega_z, CA40_MASS) == pytest.approx(
             k * xi / np.sqrt(2), rel=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
-            lamb_dicke(-1.0, TWO_PI * 1e6, CA40)
+            lamb_dicke(-1.0, TWO_PI * 1e6, CA40_MASS)
         with pytest.raises(DomainError):
-            lamb_dicke(1e7, 0.0, CA40)
+            lamb_dicke(1e7, 0.0, CA40_MASS)
         with pytest.raises(DomainError):
             lamb_dicke(1e7, TWO_PI * 1e6, 0.0)
