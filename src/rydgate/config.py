@@ -151,6 +151,7 @@ _RANGES = {
     "omega_mw_mhz": (lambda v: v > 0, "must be > 0"),
     "tau_us": (lambda v: v > 0, "must be > 0"),
     "omega0_mhz": (lambda v: v >= 0, "must be >= 0"),
+    "delta0_mhz": (lambda v: v > 0, "must be > 0"),  # PulseShape's rule: E_- > 0 on the pulse
     "blockade_mhz": (lambda v: v >= 0, "must be >= 0"),
     **SIM_RANGES,  # n_phonon_max, rtol, atol, n_output: SimConfig's own rules
     "tau0_us": (lambda v: v > 0, "must be > 0"),

@@ -30,6 +30,7 @@ reference design it is 0.07 rad away from the exact phase.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,12 @@ def wrap_angle(x):
 
 @dataclass(frozen=True)
 class PulseShape:
-    """sin^2 pulse: peak Rabi omega0, detuning scale delta0, duration tau (us)."""
+    """sin^2 pulse: peak Rabi omega0, detuning scale delta0 > 0, duration tau (us).
+
+    delta0 > 0 keeps E_- > 0 over the pulse, where the qubit states |DD> and
+    |DE> are the lowest levels of their blocks and follow the light shifts
+    the design integrates; at delta0 <= 0 they follow another branch.
+    """
 
     omega0: float
     delta0: float
@@ -66,12 +72,18 @@ class PulseShape:
     def __post_init__(self):
         for name in ("omega0", "delta0", "tau"):
             value = getattr(self, name)
-            if np.size(value) != 1 or not np.isfinite(value).all():
+            if type(value) is float:  # the common case, without numpy's per-call cost
+                finite = math.isfinite(value)
+            else:
+                finite = np.size(value) == 1 and np.isfinite(value).all()
+            if not finite:
                 raise ValidationError(f"pulse {name} must be one finite number, got {value}")
         if self.tau <= 0.0:
             raise ValidationError(f"pulse duration must be positive, got {self.tau}")
         if self.omega0 < 0.0:
             raise ValidationError(f"peak Rabi frequency must be >= 0, got {self.omega0}")
+        if self.delta0 <= 0.0:
+            raise ValidationError(f"pulse detuning scale delta0 must be > 0, got {self.delta0}")
 
 
 @dataclass(frozen=True)
@@ -96,16 +108,19 @@ def pulse_at(t, p: PulseShape):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > p.tau):
         raise DomainError(f"t must lie in [0, {p.tau}]")
-    phase = np.pi * t_arr / p.tau
-    omega_minus = p.omega0 * np.sin(phase) ** 2
-    e_minus = p.delta0 * (0.5 + np.cos(phase) ** 2)
-    return omega_minus, e_minus
+    return _pulse(t_arr, p)
+
+
+def _pulse(t, p):
+    """pulse_at without its domain check, for times known to lie in [0, tau]."""
+    phase = np.pi * t / p.tau
+    return p.omega0 * np.sin(phase) ** 2, p.delta0 * (0.5 + np.cos(phase) ** 2)
 
 
 def _light_shift_de(om, e):
     """Exact lower eigenvalue of the singly-driven {|DE>, |-E>}, free of cancellation."""
-    om2 = om * om
-    return 0.5 * (e - abs(e)) - om2 / (2.0 * (abs(e) + np.sqrt(e * e + om2)) + _TINY)
+    om2, abs_e = om * om, abs(e)
+    return 0.5 * (e - abs_e) - om2 / (2.0 * (abs_e + np.sqrt(e * e + om2)) + _TINY)
 
 
 def _light_shift_dd(om, e, blockade):
@@ -124,13 +139,15 @@ def _light_shift_dd(om, e, blockade):
     monotonically. Raises ToleranceFailure if they do not settle.
     """
     c2 = 0.5 * om * om
+    four_c2 = 4.0 * c2
     b = 2.0 * e + blockade
-    shift = 0.5 * (b - abs(b))  # min(b, 0)
+    abs_b = abs(b)
+    shift = 0.5 * (b - abs_b)  # min(b, 0)
     a = e - shift
-    b = abs(b)
-    lam = 0.5 * (a - np.sqrt(a * a + 4.0 * c2))
+    b = abs_b
+    lam = 0.5 * (a - np.sqrt(a * a + four_c2))
     a_eff = a - c2 / (b - lam + _TINY)
-    lam = 0.5 * (a_eff - np.sqrt(a_eff * a_eff + 4.0 * c2))
+    lam = 0.5 * (a_eff - np.sqrt(a_eff * a_eff + four_c2))
     k2, k1, k0 = a + b, 2.0 * c2 - a * b, c2 * b
     two_k2 = 2.0 * k2
     moving = True  # each entry stops on its own step, so batching does not change it
@@ -216,8 +233,9 @@ def _ladder_energies(omega0, delta0, blockade, n, odd=False):
     """(E_DD, E_DE) as (2, len(delta0), n) on _node_tables(n, odd), one light-shift call."""
     sin2, cos2_half = _node_tables(n, odd)
     e = delta0[:, None] * cos2_half
+    om = np.multiply(omega0, sin2, out=np.empty(e.shape))  # omega0 * sin2 on every row
     out = np.empty((2,) + e.shape)
-    out[0], out[1] = adiabatic_energies(np.broadcast_to(omega0 * sin2, e.shape), e, blockade)
+    out[0], out[1] = adiabatic_energies(om, e, blockade)
     return out
 
 
@@ -266,6 +284,8 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None, ahead=None):
         if not done.any():  # every row goes on: no subsets to take
             prev = new
             continue
+        if rows.size == delta0.size and done.all():  # every row ends on this level
+            return new, vals
         phi[:, rows[done]] = new[:, done]
         if done.all():
             return phi, vals
@@ -291,8 +311,8 @@ def _design_phases(omega0, delta0, tau, blockade):
     The arguments are keyed as Python floats, so numpy scalars, 0-d and
     1-element arrays share an entry. The arrays returned are read-only.
     """
-    return _root_integral(*(np.asarray(v, dtype=float).item()
-                            for v in (omega0, delta0, tau, blockade)))
+    return _root_integral(*[v if type(v) is float else np.asarray(v, dtype=float).item()
+                            for v in (omega0, delta0, tau, blockade)])
 
 
 def entangling_phase(p: PulseShape, blockade: float) -> GateDesign:
@@ -398,15 +418,17 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
 
     def converged(delta0):  # Brent's objective, kept for entangling_phase and phase_trace
         phi, _ = _design_phases(omega0, delta0, tau, blockade)
-        return float(phi[0, 0] - 2.0 * phi[1, 0] - np.pi)
+        phi_dd, phi_de = phi[:, 0].tolist()
+        return phi_dd - 2.0 * phi_de - np.pi
 
     grid = np.geomspace(1e-3 * omega0, 50.0 * omega0, 40)
     ahead = _look_ahead(omega0, grid, blockade)
-    values = objective(grid, np.pi, ahead)  # signs only; a row stopped early is nonzero
-    for i, (a, b, fa, fb) in enumerate(zip(grid[:-1], grid[1:], values[:-1], values[1:])):
+    values = objective(grid, np.pi, ahead).tolist()  # signs only; a row stopped early is nonzero
+    for i, (fa, fb) in enumerate(zip(values[:-1], values[1:])):
         if fa == 0.0:
-            return float(a)
+            return float(grid[i])
         if fa * fb < 0.0:  # converged from the two rows' columns of the scan's look-ahead
+            a, b = grid[i], grid[i + 1]
             fa, fb = objective(grid[i:i + 2], ahead=ahead[:, i:i + 2])
             if not fa * fb < 0.0:
                 raise ToleranceFailure(
@@ -428,10 +450,10 @@ def adiabaticity_ratio(p: PulseShape, blockade: float) -> float:
     SingularDenominator where 4 E_- + 2 B vanishes on the grid.
     """
     times = np.linspace(0.0, p.tau, 401)
-    om, e = pulse_at(times, p)
+    om, e = _pulse(times, p)
     delta_eff = e - om**2 / _blockade_denominator(e, blockade)
     gap_dd = np.sqrt(delta_eff**2 + 2.0 * om**2)
     gap_de = np.sqrt(e**2 + om**2)
     min_gap = min(gap_dd.min(), gap_de.min())
-    slew = np.pi / p.tau * max(p.omega0, abs(p.delta0))
+    slew = np.pi / p.tau * max(p.omega0, p.delta0)
     return float(min_gap**2 / slew)

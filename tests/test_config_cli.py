@@ -388,13 +388,27 @@ class TestCLI:
         assert not out.exists()
 
     @pytest.mark.parametrize("raw", ["-1e-1", "-1E-1"])
-    def test_negative_exponent_flag_equals_joined_form(self, raw, tmp_path):
-        # argparse alone reads "-1e-1" as an unknown option on some Python versions
+    def test_negative_exponent_flag_equals_joined_form(self, raw, tmp_path, capsys):
+        # argparse alone reads "-1e-1" as an unknown option on some Python versions;
+        # both forms reach --delta0-mhz, whose range rule then refuses the value
         spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
-        assert main(["gate", "--delta0-mhz", raw, "--output", str(spaced)]) == 0
-        assert main(["gate", f"--delta0-mhz={raw}", "--output", str(joined)]) == 0
-        assert spaced.read_bytes() == joined.read_bytes()
-        assert json.loads(spaced.read_text())["delta0_mhz"] == -0.1
+        assert main(["gate", "--delta0-mhz", raw, "--output", str(spaced)]) == 2
+        spaced_err = capsys.readouterr().err
+        assert main(["gate", f"--delta0-mhz={raw}", "--output", str(joined)]) == 2
+        assert capsys.readouterr().err == spaced_err
+        assert "[pulse] delta0_mhz must be > 0, got -0.1" in spaced_err
+        assert not spaced.exists() and not joined.exists()
+
+    @pytest.mark.parametrize("command", ["gate", "evolve"])
+    def test_non_positive_delta0_exit_code(self, command, tmp_path, capsys):
+        # at delta0 <= 0 the qubit states follow another adiabatic branch than
+        # the light shifts the design integrates
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[pulse]\ndelta0_mhz = 0\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--output", str(out)]) == 2
+        assert "[pulse] delta0_mhz must be > 0, got 0.0" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
     def test_flag_is_not_taken_as_a_value(self, tmp_path, capsys):
         out = tmp_path / "gate.json"

@@ -127,7 +127,7 @@ class TestHamiltonian:
             ket = basis_index(1, 1, n, 2)
             assert h[bra, ket] == pytest.approx(omega_minus / 2, rel=1e-14)
 
-    @pytest.mark.parametrize("delta0_mhz, blockade_mhz", [(0.639, 2.5), (-0.8, 1.0), (2.0, 10.0)])
+    @pytest.mark.parametrize("delta0_mhz, blockade_mhz", [(0.639, 2.5), (2.0, 10.0)])
     def test_lowest_eigenvalues_are_the_design_light_shifts(self, delta0_mhz, blockade_mhz):
         # at eta = 0 the design is the adiabatic limit of this Hamiltonian: on
         # the nodes the design integrates, the lowest eigenvalue of the n = 0

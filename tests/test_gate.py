@@ -116,6 +116,12 @@ class TestPulse:
         with pytest.raises(ValidationError):
             PulseShape(omega0=-1.0, delta0=1.0, tau=1.0)
 
+    @pytest.mark.parametrize("delta0", [0.0, -0.1, np.float64(-1.0)])
+    def test_non_positive_delta0_refused(self, delta0):
+        # for E_- <= 0 the qubit states are not the lowest levels the design integrates
+        with pytest.raises(ValidationError, match="delta0 must be > 0"):
+            PulseShape(omega0=1.0, delta0=delta0, tau=1.0)
+
     @pytest.mark.parametrize("field", ["omega0", "delta0", "tau"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.array([np.inf]),
                                        np.array([1.0, 2.0])])
@@ -581,10 +587,11 @@ class TestDiagnostics:
         assert adiabaticity_ratio(reference_pulse(), REF_BLOCKADE) > 3.0
 
     def test_adiabaticity_ratio_singular_denominator(self):
-        # at delta0 = 0, B = 0 the closed-form gap's 4 E_- + 2 B vanishes
-        # all along the pulse
+        # at B = -delta0 the closed-form gap's 4 E_- + 2 B = 4 delta0 cos^2
+        # vanishes at t = tau / 2, a point of the ratio's time grid
+        p = PulseShape(TWO_PI * 0.5, TWO_PI * 0.639, 60.0)
         with pytest.raises(SingularDenominator):
-            adiabaticity_ratio(PulseShape(TWO_PI * 0.5, 0.0, 60.0), 0.0)
+            adiabaticity_ratio(p, -p.delta0)
 
     def test_phase_trace_matches_quadrature_endpoint(self):
         p = reference_pulse()
