@@ -14,9 +14,12 @@ of an integral covers 64 nodes at once; finer grids add odd nodes only for
 the delta0 that still move. The pulse shape on each grid does not depend on
 delta0, so its tables are built once per process and shared. The
 optimizer's scan needs only the sign of phi_ent - pi on each row, so a row
-far from the root stops once its sign is settled; the two rows that bracket
-the root are integrated again, converged, starting from their columns of the
-scan's 64-node call instead of evaluating those nodes anew.
+far from the root stops once its sign is settled, and its first call covers
+the 32 nodes on which nearly every row settles; the two rows that bracket
+the root are integrated again, converged, starting from their columns of
+that call instead of evaluating those nodes anew. The ladder sums each
+level with numpy and keeps its per-row bookkeeping on Python floats, which
+costs less than numpy's per-call overhead on a few rows.
 The converged integral of one design point (omega0, delta0, tau, B) is kept
 (the last 16), so Brent's evaluation at the root serves entangling_phase and
 phase_trace there. phase_trace's sine table takes the fractional part of
@@ -48,7 +51,11 @@ MAX_NODES = 2**17  # trapezoid nodes per pulse before ToleranceFailure; a power 
 EIG_STEP_RTOL = 1e-7  # relative size of the last Newton step; about its square remains
 EIG_MAX_STEPS = 50
 BRENT_XTOL, BRENT_RTOL, BRENT_MAX_ITER = 1e-14, 8.9e-16, 100  # root polish in optimize_pulse
-_TINY = np.finfo(float).tiny  # keeps the all-zero block at 0 instead of 0/0
+# The light shifts take their constants as 0-d arrays: numpy 2 converts a Python
+# float operand on every ufunc call, at about a third of the cost of the call on
+# the ladder's 32-64 nodes. The values, and so the results, are the same.
+_HALF, _TWO, _THREE, _FOUR = (np.array(v) for v in (0.5, 2.0, 3.0, 4.0))
+_TINY = np.array(np.finfo(float).tiny)  # keeps the all-zero block at 0 instead of 0/0
 
 
 def wrap_angle(x):
@@ -120,7 +127,7 @@ def _pulse(t, p):
 def _light_shift_de(om, e):
     """Exact lower eigenvalue of the singly-driven {|DE>, |-E>}, free of cancellation."""
     om2, abs_e = om * om, abs(e)
-    return 0.5 * (e - abs_e) - om2 / (2.0 * (abs_e + np.sqrt(e * e + om2)) + _TINY)
+    return _HALF * (e - abs_e) - om2 / (_TWO * (abs_e + np.sqrt(e * e + om2)) + _TINY)
 
 
 def _light_shift_dd(om, e, blockade):
@@ -138,28 +145,29 @@ def _light_shift_dd(om, e, blockade):
     which lands below the root; Newton steps on p then climb to the root
     monotonically. Raises ToleranceFailure if they do not settle.
     """
-    c2 = 0.5 * om * om
-    four_c2 = 4.0 * c2
-    b = 2.0 * e + blockade
+    c2 = _HALF * om * om
+    four_c2 = _FOUR * c2
+    b = _TWO * e + blockade
     abs_b = abs(b)
-    shift = 0.5 * (b - abs_b)  # min(b, 0)
+    shift = _HALF * (b - abs_b)  # min(b, 0)
     a = e - shift
     b = abs_b
-    lam = 0.5 * (a - np.sqrt(a * a + four_c2))
+    lam = _HALF * (a - np.sqrt(a * a + four_c2))
     a_eff = a - c2 / (b - lam + _TINY)
-    lam = 0.5 * (a_eff - np.sqrt(a_eff * a_eff + four_c2))
-    k2, k1, k0 = a + b, 2.0 * c2 - a * b, c2 * b
-    two_k2 = 2.0 * k2
+    lam = _HALF * (a_eff - np.sqrt(a_eff * a_eff + four_c2))
+    k2, k1, k0 = a + b, _TWO * c2 - a * b, c2 * b
+    two_k2 = _TWO * k2
     moving = True  # each entry stops on its own step, so batching does not change it
     for _ in range(EIG_MAX_STEPS):
         poly = ((k2 - lam) * lam + k1) * lam - k0
-        slope = (two_k2 - 3.0 * lam) * lam + k1
+        slope = (two_k2 - _THREE * lam) * lam + k1
         step = poly / (slope - _TINY)
         if moving is not True:  # the first step moves every entry
             step = step * moving
         lam = lam - step
-        moving = moving & (abs(step) > EIG_STEP_RTOL * abs(lam))
-        if not moving.any():
+        still = abs(step) > EIG_STEP_RTOL * abs(lam)
+        moving = still if moving is True else moving & still
+        if not np.count_nonzero(moving):
             return lam + shift
     raise ToleranceFailure("doubly-driven light shift did not converge")
 
@@ -239,9 +247,18 @@ def _ladder_energies(omega0, delta0, blockade, n, odd=False):
     return out
 
 
-def _look_ahead(omega0, delta0, blockade):
-    """The ladder's first energy call: each row of a 1-D delta0 on 64 nodes, MAX_NODES if lower."""
-    return _ladder_energies(omega0, delta0, blockade, max(16, min(64, MAX_NODES)))
+def _look_ahead(omega0, delta0, blockade, n=64):
+    """The ladder's first energy call: each row of a 1-D delta0 on n nodes, MAX_NODES if lower.
+
+    Most single delta0 end on 64 nodes; the optimizer's scan rows settle their
+    sign on 32, so it passes 32.
+    """
+    return _ladder_energies(omega0, delta0, blockade, max(16, min(n, MAX_NODES)))
+
+
+def _as_float(value):
+    """A Python float of one number given as a float, a numpy scalar or a 1-element array."""
+    return value if type(value) is float else np.asarray(value, dtype=float).item()
 
 
 def _accumulated_phases(omega0, delta0, tau, blockade, target=None, ahead=None):
@@ -252,46 +269,56 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None, ahead=None):
     - target lies farther from 0 than SIGN_MARGIN times the doubling's change
     |d phi_DD| + 2 |d phi_DE|; its integrals are then that level's, good for
     the sign of phi_ent - target only. The first energy call, _look_ahead,
-    covers every row on 64 nodes, and the 16- and 32-node levels are every
-    fourth and second of them; a caller that already holds those columns
-    passes them as ahead, and the ladder makes no call for levels they cover.
-    Past 64, each doubling adds the odd nodes of the rows not done. Every
-    call takes the pulse shape from the shared _node_tables. The nodes are
-    exact dyadic fractions and each entry of _light_shift_dd stops on its own
-    Newton step, so every level has the bits of evaluating it on its own.
-    Also returns the nodes (2, k, N) of the k rows done last.
+    covers every row on 64 nodes, and the coarser levels are every second,
+    fourth, ... of them; a caller that already holds such columns (the scan's
+    32-node call) passes them as ahead, and the ladder makes no call for
+    levels they cover. Past them, each doubling adds the odd nodes of the rows
+    not done. Every call takes the pulse shape from the shared _node_tables.
+    The nodes are exact dyadic fractions and each entry of _light_shift_dd
+    stops on its own Newton step, so every level has the bits of evaluating
+    it on its own, however its nodes were computed. A level's sums are numpy's
+    pairwise sums over its contiguous nodes; the rest of the bookkeeping runs
+    on Python floats, the same IEEE operations as on numpy's. Also returns the
+    nodes (2, k, N) of the k rows done last.
     """
     delta0 = np.atleast_1d(np.asarray(delta0, dtype=float))
-    phi, rows = np.empty((2, delta0.size)), np.arange(delta0.size)
+    tau = _as_float(tau)
     if ahead is None:
         ahead = _look_ahead(omega0, delta0, blockade)
     n_ahead = ahead.shape[-1]
+    phi, rows = [[0.0] * delta0.size, [0.0] * delta0.size], list(range(delta0.size))
     vals = ahead[..., ::n_ahead // 16].copy()
-    prev = tau * (vals.sum(axis=-1) / 16)  # np.mean's own sum and divide
-    while vals.shape[-1] < MAX_NODES:
-        n = 2 * vals.shape[-1]
+    prev = [[tau * (s / 16) for s in sums] for sums in vals.sum(axis=-1).tolist()]
+    n = 16
+    while n < MAX_NODES:
+        n *= 2
         if n <= n_ahead:  # contiguous, so the sum runs as over a level made alone
             vals = ahead[..., ::n_ahead // n].copy()
         else:
             odd = _ladder_energies(omega0, delta0[rows], blockade, n // 2, odd=True)
-            vals = np.stack([vals, odd], axis=-1).reshape(2, rows.size, n)
-        new = tau * (vals.sum(axis=-1) / n)
-        change = np.abs(new - prev)
-        done = (change <= QUAD_ABS_TOL).all(axis=0)
-        if target is not None:
-            done |= (np.abs(new[0] - 2.0 * new[1] - target)
-                     > SIGN_MARGIN * (change[0] + 2.0 * change[1]))
-        if not done.any():  # every row goes on: no subsets to take
+            vals = np.stack([vals, odd], axis=-1).reshape(2, len(rows), n)
+        new = [[tau * (s / n) for s in sums] for sums in vals.sum(axis=-1).tolist()]
+        done = []
+        for dd, de, prev_dd, prev_de in zip(*new, *prev):
+            change_dd, change_de = abs(dd - prev_dd), abs(de - prev_de)
+            done.append((change_dd <= QUAD_ABS_TOL and change_de <= QUAD_ABS_TOL)
+                        or (target is not None and abs(dd - 2.0 * de - target)
+                            > SIGN_MARGIN * (change_dd + 2.0 * change_de)))
+        if not any(done):  # every row goes on: no subsets to take
             prev = new
             continue
-        if rows.size == delta0.size and done.all():  # every row ends on this level
-            return new, vals
-        phi[:, rows[done]] = new[:, done]
-        if done.all():
-            return phi, vals
-        rows, vals, prev = rows[~done], vals[:, ~done], new[:, ~done]
+        if len(rows) == delta0.size and all(done):  # every row ends on this level
+            return np.array(new), vals
+        for row, dd, de, row_done in zip(rows, *new, done):
+            if row_done:
+                phi[0][row], phi[1][row] = dd, de
+        if all(done):
+            return np.array(phi), vals
+        going = [j for j, d in enumerate(done) if not d]
+        rows, vals = [rows[j] for j in going], vals[:, going]
+        prev = [[x[j] for j in going] for x in new]
         if n < n_ahead:
-            ahead = ahead[:, ~done]
+            ahead = ahead[:, going]
     raise ToleranceFailure(f"phase integrals not converged on {MAX_NODES} nodes")
 
 
@@ -311,8 +338,7 @@ def _design_phases(omega0, delta0, tau, blockade):
     The arguments are keyed as Python floats, so numpy scalars, 0-d and
     1-element arrays share an entry. The arrays returned are read-only.
     """
-    return _root_integral(*[v if type(v) is float else np.asarray(v, dtype=float).item()
-                            for v in (omega0, delta0, tau, blockade)])
+    return _root_integral(*[_as_float(v) for v in (omega0, delta0, tau, blockade)])
 
 
 def entangling_phase(p: PulseShape, blockade: float) -> GateDesign:
@@ -345,7 +371,7 @@ def phase_trace(p: PulseShape, blockade: float):
     x = times / p.tau
     # sin(2 pi k x) from the fractional part of k x, which is exactly 0 at x = 1;
     # k x >= 0, so u - floor(u) is exact and equals np.mod(u, 1.0) bit for bit
-    u = np.outer(k, x)
+    u = k[:, None] * x
     waves = np.sin(2.0 * np.pi * (u - np.floor(u))) / (2.0 * np.pi * k[:, None])
     phi_dd, phi_de = phi[:, :1] * x + p.tau * (amp[:, 1:] @ waves)
     return times, phi_dd, phi_de, wrap_angle(phi_dd - 2.0 * phi_de)
@@ -422,14 +448,14 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
         return phi_dd - 2.0 * phi_de - np.pi
 
     grid = np.geomspace(1e-3 * omega0, 50.0 * omega0, 40)
-    ahead = _look_ahead(omega0, grid, blockade)
+    ahead = _look_ahead(omega0, grid, blockade, 32)
     values = objective(grid, np.pi, ahead).tolist()  # signs only; a row stopped early is nonzero
     for i, (fa, fb) in enumerate(zip(values[:-1], values[1:])):
         if fa == 0.0:
             return float(grid[i])
         if fa * fb < 0.0:  # converged from the two rows' columns of the scan's look-ahead
-            a, b = grid[i], grid[i + 1]
-            fa, fb = objective(grid[i:i + 2], ahead=ahead[:, i:i + 2])
+            a, b = float(grid[i]), float(grid[i + 1])
+            fa, fb = objective(grid[i:i + 2], ahead=ahead[:, i:i + 2]).tolist()
             if not fa * fb < 0.0:
                 raise ToleranceFailure(
                     f"the scan's sign change in [{a}, {b}] is gone once converged")

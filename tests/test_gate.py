@@ -29,11 +29,12 @@ def reference_pulse():
 REF_BLOCKADE = TWO_PI * 2.5
 
 
-def ladder_from_16(omega0, delta0, tau, blockade):
+def ladder_from_16(omega0, delta0, tau, blockade, target=None):
     """Reference phase ladder with one adiabatic_energies call per level, from 16 nodes up.
 
-    Returns (phi, vals) as gate._accumulated_phases does, and the node
-    count at which each row converged.
+    Its bookkeeping runs on numpy arrays, one level at a time. Returns
+    (phi, vals) as gate._accumulated_phases does, and the node count at
+    which each row stopped.
     """
     def energies(d, x):
         om = omega0 * np.sin(np.pi * x) ** 2
@@ -50,7 +51,11 @@ def ladder_from_16(omega0, delta0, tau, blockade):
         prev = tau * vals.mean(axis=-1)
         vals = np.stack([vals, odd], axis=-1).reshape(2, rows.size, 2 * n)
         new = tau * vals.mean(axis=-1)
-        done = np.all(np.abs(new - prev) <= gate.QUAD_ABS_TOL, axis=0)
+        change = np.abs(new - prev)
+        done = np.all(change <= gate.QUAD_ABS_TOL, axis=0)
+        if target is not None:
+            done |= (np.abs(new[0] - 2.0 * new[1] - target)
+                     > gate.SIGN_MARGIN * (change[0] + 2.0 * change[1]))
         phi[:, rows[done]] = new[:, done]
         nodes[rows[done]] = 2 * n
         if done.all():
@@ -377,6 +382,25 @@ class TestPhasePrimitive:
         # rows settle at every level the look-ahead covers and past it
         assert {32, 64, 128, 256, 512} <= levels
 
+    @pytest.mark.parametrize("first", [32, 64])
+    @pytest.mark.parametrize("target", [None, np.pi])
+    @pytest.mark.parametrize("rows", [[2], [2, 20], range(40)])
+    def test_ladder_bookkeeping_equals_numpy_levels(self, rows, target, first):
+        # the ladder's bookkeeping on Python floats keeps the bits of the same
+        # operations on numpy arrays, level by level, on 1, 2 and 40 rows of
+        # a scan whose rows stop on 32 to 512 nodes, from a first call on 32
+        # (the scan's) or 64 nodes
+        omega0, tau, blockade = TWO_PI * 0.051, 68.1, TWO_PI * 2.84
+        delta0 = np.geomspace(1e-3 * omega0, 50 * omega0, 40)[list(rows)]
+        ahead = gate._look_ahead(omega0, delta0, blockade, first)
+        phi, vals = gate._accumulated_phases(omega0, delta0, tau, blockade, target, ahead)
+        ref_phi, ref_vals, nodes = ladder_from_16(omega0, delta0, tau, blockade, target)
+        assert phi.shape == ref_phi.shape and vals.shape == ref_vals.shape
+        assert np.array_equal(bits(phi), bits(ref_phi))
+        assert np.array_equal(bits(vals), bits(ref_vals))
+        assert nodes.max() > first
+        assert len(set(nodes.tolist())) == min(len(delta0), 5 if target is None else 4)
+
     def test_node_tables_are_shared_and_read_only(self):
         # the pulse shape on the nodes is built once per (n, odd), with the
         # bits of the expressions the ladder used to evaluate per call
@@ -517,10 +541,14 @@ class TestOptimizePulse:
         with pytest.raises(NoRoot):
             optimize_pulse(TWO_PI * 0.5, 60.0, 0.0)
 
-    def test_scan_stays_on_the_look_ahead(self, monkeypatch):
-        # the 40 scan rows take one 64-node call; the bracket converges on its
-        # rows' columns of it, with no call of its own, and Brent starts from
-        # the bracket's converged values
+    @staticmethod
+    def check_scan_and_bracket(monkeypatch, omega0_mhz, tau, b_mhz, bracket_entries):
+        """optimize_pulse's light-shift calls are the scan's and then bracket_entries.
+
+        The ends it hands to Brent are Python floats with the bits of
+        entangling_phase there, each converged on 32 nodes, or on 64 nodes
+        with its odd 32 in bracket_entries.
+        """
         entries, ends = [], []
 
         def counting(omega_minus, e_minus, blockade):
@@ -533,12 +561,59 @@ class TestOptimizePulse:
 
         monkeypatch.setattr(gate, "adiabatic_energies", counting)
         monkeypatch.setattr(gate, "_brent", record_ends)
-        optimize_pulse(TWO_PI * 0.5, 60.0, REF_BLOCKADE)
-        assert entries == [40 * 64]
+        omega0, blockade = TWO_PI * omega0_mhz, TWO_PI * b_mhz
+        optimize_pulse(omega0, tau, blockade)
+        assert entries == [40 * 32] + bracket_entries
         (a, b, fa, fb), = ends
+        assert {type(v) for v in (a, b, fa, fb)} == {float}
+        nodes = []
         for delta0, value in ((a, fa), (b, fb)):
-            design = entangling_phase(PulseShape(TWO_PI * 0.5, delta0, 60.0), REF_BLOCKADE)
+            design = entangling_phase(PulseShape(omega0, delta0, tau), blockade)
             assert bits(value) == bits(design.phi_dd - 2.0 * design.phi_de - np.pi)
+            nodes.append(gate._design_phases(omega0, delta0, tau, blockade)[1].shape[-1])
+        assert sum(nodes) == 2 * 32 + sum(bracket_entries)
+
+    def test_scan_stays_on_the_look_ahead(self, monkeypatch):
+        # the 40 scan rows take one 32-node call, where their signs settle;
+        # the bracket converges from its rows' columns of it, and Brent starts
+        # from the bracket's converged values. At the reference design one end
+        # needs 64 nodes and adds their odd 32
+        self.check_scan_and_bracket(monkeypatch, 0.5, 60.0, 2.5, [32])
+
+    @pytest.mark.parametrize("omega0_mhz, tau, b_mhz, bracket_entries", [
+        (0.285, 142.8, 1.44, []),  # both ends converge on 32 nodes: no call of their own
+        (0.234, 24.4, 4.03, [2 * 32]),  # both ends converge on 64 nodes
+    ])
+    def test_bracket_ends_on_32_or_64_nodes(self, monkeypatch, omega0_mhz, tau, b_mhz,
+                                            bracket_entries):
+        self.check_scan_and_bracket(monkeypatch, omega0_mhz, tau, b_mhz, bracket_entries)
+
+    @pytest.mark.parametrize("omega0_mhz, tau, b_mhz, no_root", [
+        (0.051, 68.1, 2.84, False),  # scan rows settle on 32, 64, 128 and 256 nodes
+        (0.05, 5.0, 2.5, True),  # no sign change
+    ])
+    def test_scan_keeps_the_roots_of_a_64_node_look_ahead(self, monkeypatch, omega0_mhz, tau,
+                                                         b_mhz, no_root):
+        # scan rows whose sign does not settle on the 32-node call add odd
+        # nodes (test_ladder_bookkeeping_equals_numpy_levels counts them on
+        # the first design); the root, or the NoRoot text, is that of a scan
+        # whose first call covers 64 nodes
+        omega0, blockade = TWO_PI * omega0_mhz, TWO_PI * b_mhz
+
+        def outcome():
+            gate._root_integral.cache_clear()
+            try:
+                return bits(optimize_pulse(omega0, tau, blockade))
+            except NoRoot as exc:
+                return str(exc)
+
+        got = outcome()
+        assert isinstance(got, str) is no_root
+        look_ahead = gate._look_ahead
+        monkeypatch.setattr(gate, "_look_ahead",
+                            lambda omega0, delta0, blockade, n=64: look_ahead(omega0, delta0,
+                                                                               blockade))
+        assert outcome() == got
 
     @pytest.mark.parametrize("b_mhz", [0.5, 2.5, 10.0])
     def test_settled_signs_hold_converged(self, b_mhz):
