@@ -13,10 +13,11 @@ same inputs.
 
 The suite covers the design chain (optimize_pulse roots and NoRoot cases,
 every entangling_phase field and the unitary, adiabaticity_ratio and the
-four phase_trace arrays) on 600 benchmark gate_design tasks and 300 random
-designs; dress, dd_coefficients, pair_potential_full and
-lower_branch_shift; aligned and rotated fc_matrix; entangling_phase_dynamic
-at small n; and every CLI subcommand on configs/*.cfg. --small runs a
+four phase_trace arrays) on 600 benchmark gate_design tasks, 300 random
+designs and 18 weak-drive corners (omega0 / delta0 <= 1e-9); dress,
+dd_coefficients, pair_potential_full and lower_branch_shift; aligned and
+rotated fc_matrix; entangling_phase_dynamic at small n; and every CLI
+subcommand on configs/*.cfg. --small runs a
 slice of it. Bits depend on numpy, libm and the CPU, so the check compares
 two trees on one machine; it is not a golden file.
 """
@@ -91,6 +92,15 @@ def _design_outputs(p, blockade):
     return got
 
 
+def _append_design(rows, at, got):
+    """Append one pulse's _design_outputs (empty if it had none) to rows[at.*]."""
+    rows.setdefault(f"{at}.outcome", []).append(got.get("outcome", "none"))
+    for name, shape in DESIGN_FIELDS.items():
+        value = got.get(name)
+        rows.setdefault(f"{at}.{name}", []).append(
+            np.full(shape, np.nan) if value is None else value)
+
+
 def _design_chain(out, prefix, cases, rng):
     """optimize_pulse, then every design output at the root and at a random delta0."""
     from rydgate import gate
@@ -106,15 +116,31 @@ def _design_chain(out, prefix, cases, rng):
         rows.setdefault("outcome", []).append(outcome)
         off = omega0 * np.exp(rng.uniform(np.log(1e-2), np.log(20.0))) if omega0 else 1.0
         for at, delta0 in (("at_root", root), ("off_root", off)):
-            got = {} if delta0 is None else _design_outputs(
-                gate.PulseShape(omega0, delta0, tau), blockade)
-            rows.setdefault(f"{at}.outcome", []).append(got.get("outcome", "none"))
-            for name, shape in DESIGN_FIELDS.items():
-                value = got.get(name)
-                rows.setdefault(f"{at}.{name}", []).append(
-                    np.full(shape, np.nan) if value is None else value)
+            _append_design(rows, at, {} if delta0 is None else _design_outputs(
+                gate.PulseShape(omega0, delta0, tau), blockade))
     for name, values in rows.items():
         out[f"{prefix}.{name}"] = np.array(values)
+
+
+def _weak_drive_corners(out, small):
+    """Every design output at omega0 / delta0 <= 1e-9, at B = 0 and at B > 0.
+
+    The roots lie within 50 omega0 and the chain's off-root delta0 within
+    20 omega0, so neither reaches this corner, where the paper's closed-form
+    |DD> gap and the |DE> gap agree to the last bits.
+    """
+    from rydgate import gate
+    from rydgate.constants import mhz
+
+    cases = [(weak, delta0, blockade) for weak in (1e-9, 1e-12)
+             for delta0 in (mhz(0.1), mhz(0.639), mhz(5.0))
+             for blockade in (0.0, mhz(2.5), 1e3)]
+    rows = {}
+    for weak, delta0, blockade in cases[::7] if small else cases:
+        _append_design(rows, "weak_drive", _design_outputs(
+            gate.PulseShape(weak * delta0, delta0, 60.0), blockade))
+    for name, values in rows.items():
+        out[f"corners.{name}"] = np.array(values)
 
 
 def _pair_outputs(out, prefix, drives):
@@ -210,6 +236,7 @@ def suite(small=False):
         _pair_outputs(out, "tasks", drives)
         _design_chain(out, "tasks", cases, rng)
         _design_chain(out, "designs", _random_designs(rng, n_designs), rng)
+        _weak_drive_corners(out, small)
         # drives of either detuning sign, d1 = 0 and R0 well into the weak drive
         drives = [(dressing.MWDrive(mhz(rng.uniform(1.0, 800.0)), mhz(rng.uniform(-300.0, 300.0)),
                                     mhz(rng.uniform(-300.0, 300.0)), rng.uniform(0.0, 3e-26)),

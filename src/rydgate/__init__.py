@@ -12,12 +12,11 @@ from .dynamics import (
     loss_probability,
     phonon_excitation,
 )
-from .franck_condon import FCMatrix, fc_matrix, fc_overlap_1d
+from .franck_condon import FCMatrix, fc_matrix
 from .gate import (
     GateDesign,
     PulseShape,
     adiabatic_energies,
-    adiabatic_energies_closed_form,
     adiabaticity_ratio,
     entangling_phase,
     gate_unitary,

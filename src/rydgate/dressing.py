@@ -109,10 +109,11 @@ def solve_zero_polarizability(pol_p: float, pol_s: float, omega_mw_rabi: float,
     C^2 = q = -pol_s / pol_p, which needs finite pol_p and pol_s of opposite
     signs (otherwise raises NoRoot). Solving C_pm(Delta_-) = +-sqrt(q) gives
     Delta_- = +-Omega (q - 1) / (2 sqrt(q)), "+" on the upper branch. Raises
-    DomainError unless omega_mw_rabi is finite and positive.
+    DomainError for a branch other than "+" or "-", or unless omega_mw_rabi
+    is finite and positive.
     """
     if branch not in ("+", "-"):
-        raise NoRoot(f"branch must be '+' or '-', got {branch!r}")
+        raise DomainError(f"branch must be '+' or '-', got {branch!r}")
     if not (np.isfinite(omega_mw_rabi) and omega_mw_rabi > 0.0):
         raise DomainError(f"omega_mw_rabi must be finite and > 0, got {omega_mw_rabi}")
     if not (pol_p * pol_s < 0.0 and np.isfinite(pol_p * pol_s)):

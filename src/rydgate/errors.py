@@ -17,10 +17,6 @@ class NoRoot(RydgateError):
     """A bracketed root search found no sign change."""
 
 
-class SingularDenominator(RydgateError):
-    """An adiabatic-energy denominator vanished."""
-
-
 class DomainError(RydgateError):
     """An argument lies outside the operation's domain."""
 

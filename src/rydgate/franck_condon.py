@@ -87,21 +87,6 @@ def _overlap_table(nu: float, omega: float, n_max: int) -> np.ndarray:
     return k[1:, 1:]
 
 
-def fc_overlap_1d(nu: float, omega: float, m: int, n: int) -> float:
-    """Overlap <m_nu|n_omega> of two oscillator eigenstates sharing a center.
-
-    nu is the bra frequency, omega the ket frequency (both > 0, any common
-    unit). Zero whenever m+n is odd; reduces to delta_mn for nu == omega.
-    """
-    if nu <= 0.0 or omega <= 0.0:
-        raise DomainError("oscillator frequencies must be positive")
-    if m < 0 or n < 0:
-        raise DomainError("quantum numbers must be non-negative")
-    if (m + n) % 2 == 1:
-        return 0.0
-    return float(_overlap_table(nu, omega, max(m, n))[m, n])
-
-
 def _two_mode_table(ground: PhononBasis, excited: PhononBasis, n_max: int) -> np.ndarray:
     """Flat matrix of <m1 m2|n1 n2> for rotated modes (the Duschinsky recursion)."""
     nu = excited.frequencies

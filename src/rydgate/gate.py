@@ -27,8 +27,9 @@ k t / tau as u - floor(u), exact for u >= 0.
 
 Both light shifts are exact adiabatic eigenvalues: E_DE of the 2x2
 {|DE>, |-E>} block and E_DD of the ion-symmetric 3x3 block {|DD>, |D->_+,
-|-->}. The paper's closed form for E_DD, which eliminates |--> to second
-order, is kept as adiabatic_energies_closed_form for reference; at the
+|-->}. They are the package's one gap model: adiabaticity_ratio takes its
+gap from the same |DE> block. The paper's closed form for E_DD, which
+eliminates |--> to second order, lives in the tests as a reference; at the
 reference design it is 0.07 rad away from the exact phase.
 """
 
@@ -38,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NoRoot, SingularDenominator, ToleranceFailure,
-                     ValidationError)
+from .errors import DomainError, NoRoot, ToleranceFailure, ValidationError
 
 QUAD_ABS_TOL = 1e-8  # rad, last change of the accumulated phases on node doubling
 # A scan row stops once |phi_ent - pi| exceeds SIGN_MARGIN times phi_ent's last
@@ -178,37 +178,13 @@ def adiabatic_energies(omega_minus, e_minus, blockade):
     E_DE = min(E_-, 0) - Omega^2 / (2 (|E_-| + sqrt(E_-^2 + Omega^2))) is the
     lower eigenvalue of {|DE>, |-E>} without cancellation. E_DD is the exact
     lowest eigenvalue of the ion-symmetric block {|DD>, |D->_+, |-->} =
-    [[0, c, 0], [c, E_-, c], [0, c, 2 E_- + B]] with c = Omega_- / sqrt(2);
-    it has no pole, unlike adiabatic_energies_closed_form. Only Omega_-^2
-    enters. Accepts scalars or arrays of equal shape.
+    [[0, c, 0], [c, E_-, c], [0, c, 2 E_- + B]] with c = Omega_- / sqrt(2),
+    free of the pole at 4 E_- + 2 B = 0 that the paper's second-order closed
+    form has. Only Omega_-^2 enters. Accepts scalars or arrays of equal shape.
     """
     om = np.asarray(omega_minus, dtype=float)[()]
     e = np.asarray(e_minus, dtype=float)[()]
     return _light_shift_dd(om, e, blockade), _light_shift_de(om, e)
-
-
-def _blockade_denominator(e, blockade):
-    """4 E_- + 2 B of the closed form; SingularDenominator where it vanishes."""
-    denom = 4.0 * e + 2.0 * blockade
-    scale = np.maximum(np.abs(4.0 * e) + np.abs(2.0 * blockade), 1.0)
-    if np.any(np.abs(denom) <= 1e-12 * scale):
-        raise SingularDenominator("4 E_- + 2 B vanished in the blockade light shift")
-    return denom
-
-
-def adiabatic_energies_closed_form(omega_minus, e_minus, blockade):
-    """The paper's closed-form light shifts (E_DD, E_DE), kept as a reference.
-
-    E_DD = [delta0_eff - sqrt(delta0_eff^2 + 2 Omega^2)] / 2 with
-    delta0_eff = E_- - Omega^2 / (4 E_- + 2 B) eliminates |--> to second
-    order; E_DE is exact. Raises SingularDenominator when 4 E_- + 2 B
-    vanishes to machine precision.
-    """
-    om = np.abs(np.asarray(omega_minus, dtype=float))
-    e = np.asarray(e_minus, dtype=float)
-    delta_eff = e - om**2 / _blockade_denominator(e, blockade)
-    e_dd = 0.5 * (delta_eff - np.sqrt(delta_eff**2 + 2.0 * om**2))
-    return e_dd, _light_shift_de(om, e)
 
 
 def gate_unitary(phi_ent: float, phi_de: float) -> np.ndarray:
@@ -469,17 +445,18 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
 def adiabaticity_ratio(p: PulseShape, blockade: float) -> float:
     """min gap^2 / max slew, the dimensionless adiabaticity margin of the pulse.
 
-    Gap is the smaller of the two avoided-crossing gaps on 401 uniform times,
-    slew the larger of |dOmega/dt| and |dE/dt|. Reported as a diagnostic; the
-    design is considered adiabatic when the ratio is well above ~3. The
-    doubly-driven gap uses the closed form's delta0_eff, so the ratio raises
-    SingularDenominator where 4 E_- + 2 B vanishes on the grid.
+    Gap is the exact |DE> avoided-crossing gap sqrt(E_-^2 + Omega^2) at its
+    smallest over 401 uniform times, slew the larger of |dOmega/dt| and
+    |dE/dt|. Reported as a diagnostic; the design is considered adiabatic when
+    the ratio is well above ~3. For E_- > 0 (delta0 > 0) and B >= 0 the
+    |DD> block's gap lies at or above the |DE> gap (equal at B = 0, where the
+    ions are independent), so the |DE> gap is the smaller one; raises
+    DomainError for B < 0, where the |DD> gap can be the smaller.
     """
+    if not blockade >= 0.0:
+        raise DomainError(f"adiabaticity_ratio needs blockade >= 0, got {blockade}")
     times = np.linspace(0.0, p.tau, 401)
     om, e = _pulse(times, p)
-    delta_eff = e - om**2 / _blockade_denominator(e, blockade)
-    gap_dd = np.sqrt(delta_eff**2 + 2.0 * om**2)
-    gap_de = np.sqrt(e**2 + om**2)
-    min_gap = min(gap_dd.min(), gap_de.min())
+    min_gap = np.sqrt(e**2 + om**2).min()
     slew = np.pi / p.tau * max(p.omega0, p.delta0)
     return float(min_gap**2 / slew)

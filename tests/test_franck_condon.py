@@ -12,7 +12,6 @@ from rydgate import (
     diagonalize,
     equilibrium_geometry,
     fc_matrix,
-    fc_overlap_1d,
     from_secular,
 )
 from rydgate import franck_condon
@@ -81,43 +80,41 @@ def overlap_table_reference(nu, omega, n_max):
 
 
 class TestOverlap1D:
+    # the aligned path's 1D table <m_nu|n_omega>, m, n = 0..n_max
+
     def test_identical_frequencies_gives_kronecker(self):
-        for m in range(5):
-            for n in range(5):
-                assert fc_overlap_1d(2.3, 2.3, m, n) == pytest.approx(
-                    1.0 if m == n else 0.0, abs=1e-14)
+        table = franck_condon._overlap_table(2.3, 2.3, 4)
+        assert np.max(np.abs(table - np.eye(5))) <= 1e-14
 
     def test_ground_ground_closed_form(self):
         nu, omega = 3.1, 1.7
         expected = np.sqrt(2 * np.sqrt(nu * omega) / (nu + omega))
-        assert fc_overlap_1d(nu, omega, 0, 0) == pytest.approx(expected, rel=1e-14)
+        assert franck_condon._overlap_table(nu, omega, 0)[0, 0] == pytest.approx(
+            expected, rel=1e-14)
         assert overlap_by_quadrature(nu, omega, 0, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_parity_selection_rule(self):
-        assert fc_overlap_1d(3.1, 1.7, 0, 1) == 0.0
-        assert fc_overlap_1d(3.1, 1.7, 2, 5) == 0.0
+        table = franck_condon._overlap_table(3.1, 1.7, 5)
+        assert table[0, 1] == 0.0
+        assert table[2, 5] == 0.0
 
     def test_against_quadrature_oracle(self):
         nu, omega = 3.7, 1.3
+        table = franck_condon._overlap_table(nu, omega, 5)
         for m in range(6):
             for n in range(6):
-                assert fc_overlap_1d(nu, omega, m, n) == pytest.approx(
+                assert table[m, n] == pytest.approx(
                     overlap_by_quadrature(nu, omega, m, n), abs=1e-10)
 
     @settings(max_examples=50)
     @given(st.floats(min_value=0.2, max_value=8.0),
            st.floats(min_value=0.2, max_value=8.0),
-           st.integers(min_value=0, max_value=9),
            st.integers(min_value=0, max_value=9))
-    def test_exchange_symmetry(self, nu, omega, m, n):
-        assert fc_overlap_1d(nu, omega, m, n) == pytest.approx(
-            fc_overlap_1d(omega, nu, n, m), abs=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            fc_overlap_1d(-1.0, 1.0, 0, 0)
-        with pytest.raises(DomainError):
-            fc_overlap_1d(1.0, 1.0, -1, 0)
+    def test_exchange_symmetry(self, nu, omega, n_max):
+        # <m_nu|n_omega> = <n_omega|m_nu>: swapping the frequencies transposes
+        forward = franck_condon._overlap_table(nu, omega, n_max)
+        backward = franck_condon._overlap_table(omega, nu, n_max)
+        assert np.max(np.abs(forward - backward.T)) <= 1e-12
 
     @settings(max_examples=200)
     @given(st.floats(min_value=0.05, max_value=10.0),
@@ -155,10 +152,11 @@ class TestMatrix:
         ground = bases((0.0, 0.0))
         excited = bases((-1e9, -1e9))  # symmetric shift keeps vectors aligned
         fc = fc_matrix(ground, excited, n_max=5)
+        t1, t2 = (franck_condon._overlap_table(nu, omega, 5)
+                  for nu, omega in zip(excited.frequencies, ground.frequencies))
         for (k1, k2) in [(0, 0), (1, 1), (2, 0), (3, 2)]:
             for (j1, j2) in [(0, 0), (2, 0), (1, 1), (2, 2)]:
-                product = (fc_overlap_1d(excited.frequencies[0], ground.frequencies[0], k1, j1)
-                           * fc_overlap_1d(excited.frequencies[1], ground.frequencies[1], k2, j2))
+                product = t1[k1, j1] * t2[k2, j2]
                 assert fc.entries[fc.flat_index(k1, k2), fc.flat_index(j1, j2)] \
                     == pytest.approx(product, abs=1e-14)
 

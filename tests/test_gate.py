@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from rydgate import (
     PulseShape,
     adiabatic_energies,
-    adiabatic_energies_closed_form,
     adiabaticity_ratio,
     entangling_phase,
     gate_unitary,
@@ -16,8 +15,7 @@ from rydgate import (
     wrap_angle,
 )
 from rydgate import gate
-from rydgate.errors import (DomainError, NoRoot, SingularDenominator, ToleranceFailure,
-                            ValidationError)
+from rydgate.errors import DomainError, NoRoot, ToleranceFailure, ValidationError
 
 TWO_PI = 2 * np.pi
 
@@ -66,6 +64,57 @@ def ladder_from_16(omega0, delta0, tau, blockade, target=None):
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def closed_form_delta_eff(om, e, blockade):
+    """delta0_eff = E_- - Omega^2 / (4 E_- + 2 B), the paper's second-order elimination of |-->."""
+    return e - om**2 / (4.0 * e + 2.0 * blockade)
+
+
+def adiabatic_energies_closed_form(omega_minus, e_minus, blockade):
+    """The paper's closed-form light shifts (E_DD, E_DE), a reference for the exact ones.
+
+    E_DD = [delta0_eff - sqrt(delta0_eff^2 + 2 Omega^2)] / 2; E_DE is exact.
+    It has a pole where 4 E_- + 2 B vanishes, which E_- > 0 and B >= 0 avoid.
+    """
+    om = np.abs(np.asarray(omega_minus, dtype=float))
+    e = np.asarray(e_minus, dtype=float)
+    delta_eff = closed_form_delta_eff(om, e, blockade)
+    e_dd = 0.5 * (delta_eff - np.sqrt(delta_eff**2 + 2.0 * om**2))
+    return e_dd, gate._light_shift_de(om, e)
+
+
+def ratio_with_closed_form_gap(p, blockade):
+    """adiabaticity_ratio as it was: the smaller of the closed-form |DD> and the |DE> gap."""
+    times = np.linspace(0.0, p.tau, 401)
+    om, e = gate._pulse(times, p)
+    delta_eff = closed_form_delta_eff(om, e, blockade)
+    gap_dd = np.sqrt(delta_eff**2 + 2.0 * om**2)
+    gap_de = np.sqrt(e**2 + om**2)
+    min_gap = min(gap_dd.min(), gap_de.min())
+    slew = np.pi / p.tau * max(p.omega0, p.delta0)
+    return float(min_gap**2 / slew)
+
+
+def gap_ensemble():
+    """Seeded (PulseShape, B) designs over the optimizer's range and the weak-drive corner.
+
+    delta0 in [1e-3, 50] omega0, omega0 = 0, and omega0 / delta0 down to 1e-12;
+    each at B = 0 and at a B in [1e-3, 1e3] rad/us.
+    """
+    rng = np.random.default_rng(20261020)
+    designs = []
+    for _ in range(120):
+        omega0 = TWO_PI * np.exp(rng.uniform(np.log(0.05), np.log(1.5)))
+        delta0 = omega0 * np.exp(rng.uniform(np.log(1e-3), np.log(50.0)))
+        designs.append((omega0, delta0))
+    for _ in range(60):
+        delta0 = TWO_PI * np.exp(rng.uniform(np.log(0.05), np.log(5.0)))
+        designs.append((delta0 * 10.0 ** rng.uniform(-12.0, -3.0), delta0))
+    designs += [(0.0, TWO_PI * 0.639), (TWO_PI * 1e-12, TWO_PI * 0.639)]
+    return [(PulseShape(omega0, delta0, rng.uniform(5.0, 150.0)), b)
+            for omega0, delta0 in designs
+            for b in (0.0, np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))]
 
 
 @pytest.fixture(autouse=True)
@@ -163,11 +212,6 @@ class TestAdiabaticEnergies:
         a = adiabatic_energies(1.5, 2.0, 3.0)
         b = adiabatic_energies(-1.5, 2.0, 3.0)
         assert a == b
-
-    def test_singular_denominator(self):
-        # only the closed form has a pole; the exact eigenvalue is -Omega here
-        with pytest.raises(SingularDenominator):
-            adiabatic_energies_closed_form(1.0, 0.0, 0.0)
 
     def test_matches_eigvalsh_of_symmetric_block(self):
         # seeded ensemble over the optimizer's scan range
@@ -661,12 +705,34 @@ class TestDiagnostics:
     def test_reference_pulse_is_adiabatic(self):
         assert adiabaticity_ratio(reference_pulse(), REF_BLOCKADE) > 3.0
 
-    def test_adiabaticity_ratio_singular_denominator(self):
-        # at B = -delta0 the closed-form gap's 4 E_- + 2 B = 4 delta0 cos^2
-        # vanishes at t = tau / 2, a point of the ratio's time grid
-        p = PulseShape(TWO_PI * 0.5, TWO_PI * 0.639, 60.0)
-        with pytest.raises(SingularDenominator):
-            adiabaticity_ratio(p, -p.delta0)
+    def test_adiabaticity_ratio_refuses_negative_blockade(self):
+        # only at B < 0 can a |DD> gap be the smaller one
+        p = reference_pulse()
+        for blockade in (-1.0, -p.delta0, -1e-300, np.nan):
+            with pytest.raises(DomainError, match="blockade >= 0"):
+                adiabaticity_ratio(p, blockade)
+
+    def test_adiabaticity_ratio_keeps_the_closed_form_ratios_bits(self):
+        # with E_- > 0 and B >= 0 the closed-form |DD> gap was never the
+        # smaller, so dropping it leaves every ratio's bits
+        ratios = [(adiabaticity_ratio(p, b), ratio_with_closed_form_gap(p, b))
+                  for p, b in gap_ensemble()]
+        assert np.array_equal(*(bits(r) for r in zip(*ratios)))
+
+    def test_exact_dd_gap_is_not_below_the_de_gap(self):
+        # the premise on the exact 3x3 block: its gap lam_1 - lam_0 lies at or
+        # above the |DE> gap sqrt(E_-^2 + Omega^2), and equals it at B = 0
+        for p, b in gap_ensemble():
+            om, e = gate._pulse(np.linspace(0.0, p.tau, 401), p)
+            c, zero = om / np.sqrt(2.0), np.zeros_like(om)
+            blocks = np.stack([np.stack([zero, c, zero], -1),
+                               np.stack([c, e, c], -1),
+                               np.stack([zero, c, 2 * e + b], -1)], -2)
+            lam = np.linalg.eigvalsh(blocks)
+            gap_dd, gap_de = lam[:, 1] - lam[:, 0], np.sqrt(e**2 + om**2)
+            assert np.all(gap_dd >= gap_de * (1.0 - 1e-12))
+            if b == 0.0:
+                assert np.all(np.abs(gap_dd - gap_de) <= 1e-12 * gap_de)
 
     def test_phase_trace_matches_quadrature_endpoint(self):
         p = reference_pulse()
