@@ -16,9 +16,9 @@ every entangling_phase field and the unitary, adiabaticity_ratio and the
 four phase_trace arrays) on 600 benchmark gate_design tasks, 300 random
 designs and 18 weak-drive corners (omega0 / delta0 <= 1e-9); dress,
 dd_coefficients, pair_potential_full and lower_branch_shift; aligned and
-rotated fc_matrix; entangling_phase_dynamic at small n; and every CLI
-subcommand on configs/*.cfg. --small runs a
-slice of it. Bits depend on numpy, libm and the CPU, so the check compares
+rotated fc_matrix, with the row norm each TruncationWarning reports (some
+cases within 1e-3 of its threshold); entangling_phase_dynamic at small n;
+and every CLI subcommand on configs/*.cfg. --small runs a slice of it. Bits depend on numpy, libm and the CPU, so the check compares
 two trees on one machine; it is not a golden file.
 """
 
@@ -162,9 +162,15 @@ def _pair_outputs(out, prefix, drives):
 
 
 def _fc_outputs(out, traps):
-    """fc_matrix entries of each (omega_z, omega_rho in MHz, polarizabilities, axis, n_max)."""
+    """fc_matrix entries of each (omega_z, omega_rho in MHz, polarizabilities, axis, n_max).
+
+    Also the row norm its TruncationWarning reports, unrounded (NaN when it
+    does not warn), and the warning's text. A tree whose warning carries no
+    row_norm reported FCMatrix.row_norms().min(), which then stands in.
+    """
     from rydgate import franck_condon, modes, trap
     from rydgate.constants import CA40_MASS, TWO_PI
+    from rydgate.errors import TruncationWarning
 
     for i, (omega_z, omega_rho, pols, axis, n_max) in enumerate(traps):
         cfg = trap.from_secular(TWO_PI * omega_z * 1e6, TWO_PI * omega_rho * 1e6,
@@ -172,8 +178,15 @@ def _fc_outputs(out, traps):
         geom = trap.equilibrium_geometry(cfg)
         ground = modes.diagonalize(modes.build_hessian(axis, cfg, geom))
         excited = modes.diagonalize(modes.build_hessian(axis, cfg, geom, pols))
-        kind = "aligned" if pols[0] == pols[1] else "rotated"
-        out[f"fc.{i}.{kind}.n{n_max}"] = franck_condon.fc_matrix(ground, excited, n_max).entries
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            fc = franck_condon.fc_matrix(ground, excited, n_max)
+        key = f"fc.{i}.{'aligned' if pols[0] == pols[1] else 'rotated'}.n{n_max}"
+        out[key] = fc.entries
+        message = caught[0].message if caught else None
+        out[f"{key}.warned_row_norm"] = np.array(
+            np.nan if message is None else getattr(message, "row_norm", fc.row_norms().min()))
+        out[f"{key}.warning"] = np.array("" if message is None else str(message))
 
 
 def _dynamics_outputs(out, cases):
@@ -243,7 +256,11 @@ def suite(small=False):
                    rng.uniform(0.5, 12.0)) for _ in range(n_drives)]
         drives[0] = (dressing.MWDrive(mhz(400.0), mhz(136.074), mhz(293.957), 0.0), 5.0)
         _pair_outputs(out, "drives", drives)
-        traps = [(1.0, 4.0, (-1.5e9, -1.5e9), "X", 6), (1.1, 3.8, (-1.5e9, 0.0), "Y", 4)]
+        # aligned at n_max 0 and 1, and on either side of the truncation
+        # warning's 0.9999 (row norms 0.999942 and 0.999711)
+        traps = [(1.0, 4.0, (-1.5e9, -1.5e9), "X", 6), (1.1, 3.8, (-1.5e9, 0.0), "Y", 4),
+                 (0.9, 4.2, (-2e9, -2e9), "Y", 0), (1.05, 3.9, (-5e8, -5e8), "X", 1),
+                 (1.0, 4.0, (-1e7, -1e7), "X", 1), (1.0, 4.0, (-1e7, -1e7), "X", 4)]
         if not small:
             traps += [(rng.uniform(0.8, 1.2), rng.uniform(3.5, 4.5), pols, axis, n_max)
                       for n_max in (0, 1, 8, 12, 20)

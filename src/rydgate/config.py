@@ -140,6 +140,13 @@ _SECTIONS = {f.name: f.type for f in fields(RunConfig)}
 # 0.8 s, 100 000 about 8 s (one BLAS thread)
 _POINTS_LIMIT = 10_000
 
+# largest [pulse] tau_us and [simulation] blockade_mhz: at both, with rtol at
+# its floor and n_phonon_max = 40, evolve takes about 48 000 DOP853 steps per
+# trace, half the stepper's MAX_ATTEMPTS; gate's phase ladder stays far
+# below its node cap
+_TAU_LIMIT_US = 500.0
+_BLOCKADE_LIMIT_MHZ = 50.0
+
 # key -> (predicate, requirement text); violations raise ValidationError
 _RANGES = {
     "alpha": (lambda v: v > 0, "must be > 0"),
@@ -149,10 +156,11 @@ _RANGES = {
     "omega_z_mhz_override": (lambda v: v is None or v > 0, "must be > 0 when set"),
     "eta_override": (lambda v: v >= 0, "must be >= 0"),
     "omega_mw_mhz": (lambda v: v > 0, "must be > 0"),
-    "tau_us": (lambda v: v > 0, "must be > 0"),
+    "tau_us": (lambda v: 0 < v <= _TAU_LIMIT_US, f"must lie in (0, {_TAU_LIMIT_US:g}]"),
     "omega0_mhz": (lambda v: v >= 0, "must be >= 0"),
     "delta0_mhz": (lambda v: v > 0, "must be > 0"),  # PulseShape's rule: E_- > 0 on the pulse
-    "blockade_mhz": (lambda v: v >= 0, "must be >= 0"),
+    "blockade_mhz": (lambda v: 0 <= v <= _BLOCKADE_LIMIT_MHZ,
+                     f"must lie in [0, {_BLOCKADE_LIMIT_MHZ:g}]"),
     **SIM_RANGES,  # n_phonon_max, rtol, atol, n_output: SimConfig's own rules
     "tau0_us": (lambda v: v > 0, "must be > 0"),
     "r_min_um": (lambda v: v > 0, "must be > 0"),

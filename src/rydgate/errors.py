@@ -34,7 +34,14 @@ class ValidationError(RydgateError):
 
 
 class TruncationWarning(UserWarning):
-    """Fock truncation visibly degrades overlap-matrix unitarity."""
+    """Fock truncation visibly degrades overlap-matrix unitarity.
+
+    row_norm is the smallest bra row norm the message reports, unrounded.
+    """
+
+    def __init__(self, message, row_norm=None):
+        super().__init__(message)
+        self.row_norm = row_norm
 
 
 class WeakDriveWarning(UserWarning):

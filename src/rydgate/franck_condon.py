@@ -11,8 +11,13 @@ Two code paths:
 
   with t = (nu - omega)/(nu + omega), sech = 2 sqrt(nu omega)/(nu + omega)
   and K[0, 0] = sqrt(sech). Entries with odd m+n vanish identically. Row 0
-  follows from the first relation, every further row from the second, one
-  whole row at a time.
+  follows from the first relation, on Python floats, every further row from
+  the second. Both modes' tables are built in one stacked recursion, one set
+  of numpy calls per row for the pair, and the matrix is their broadcast
+  product K1[m1, n1] K2[m2, n2]: one product per entry, as in np.kron. A row
+  norm of that product is the product of the factors' row norms, so the
+  truncation check takes the smallest from the two tables (O(n_max^2)
+  work) instead of summing the (n_max+1)^2 x (n_max+1)^2 matrix.
 
 * rotated mode vectors -- the two-mode (Duschinsky) form of the same
   recursion (Doktorov, Malkin & Man'ko, J. Mol. Spectrosc. 64, 302, 1977).
@@ -27,11 +32,14 @@ Two code paths:
   Row <0|.> comes first, then one bra row at a time over the ket grid. At
   J = 1 these are the 1D relations (A = t, B = sech, C = -t); the aligned
   path keeps the tensor product of 1D tables: faster, with exact parity zeros.
+  A rotated matrix has no factors, so its truncation check sums the squares
+  of the whole matrix (FCMatrix.row_norms).
 
 All eigenfunctions are taken real with positive leading coefficient, so
 every overlap is real.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,8 +51,8 @@ from .modes import PhononBasis
 ALIGNMENT_TOL = 1e-8
 ROW_NORM_DEFECT_TOL = 1e-4
 # largest n_max: at 40 the matrix is 1681 x 1681 (about 23 MB) and its CSV
-# about 16 MB; callers use 5-14, and 400 would ask for 193 GiB (np.kron) or
-# 195 GiB (the two-mode table)
+# about 16 MB; callers use 5-14, and 400 would ask for 193 GiB (the aligned
+# product) or 195 GiB (the two-mode table)
 N_MAX_LIMIT = 40
 
 
@@ -72,19 +80,36 @@ class FCMatrix:
         return np.sqrt(np.sum(self.entries**2, axis=1))
 
 
-def _overlap_table(nu: float, omega: float, n_max: int) -> np.ndarray:
-    """Table of <m_nu|n_omega> for m, n = 0..n_max (same-center oscillators)."""
+def _overlap_tables(nu: np.ndarray, omega: np.ndarray, n_max: int) -> np.ndarray:
+    """Tables <m_nu|n_omega>, m, n = 0..n_max, of each frequency pair, stacked.
+
+    One recursion for all pairs: shape (len(nu), n_max + 1, n_max + 1). Row 0
+    runs on Python floats, every further row is one set of numpy calls for
+    all pairs, with the IEEE operations of the one-pair recursion.
+    """
     t = (nu - omega) / (nu + omega)
     sech = 2.0 * np.sqrt(nu * omega) / (nu + omega)
     root = np.sqrt(np.arange(n_max + 1))
-    k = np.zeros((n_max + 2, n_max + 2))  # zero row/column 0 closes both recursions
-    k[1, 1] = np.sqrt(sech)
-    for n in range(1, n_max, 2):
-        k[1, n + 2] = -t * root[n] * k[1, n] / root[n + 1]
-    root_sech = root * sech
+    # zero row/column 0 of each table closes both recursions
+    k = np.zeros((len(t), n_max + 2, n_max + 2))
+    roots = root.tolist()
+    for j, (t_j, sech_j) in enumerate(zip(t.tolist(), sech.tolist())):
+        row = [math.sqrt(sech_j)]  # <0|0>, <0|2>, <0|4>, ...
+        for n in range(1, n_max, 2):
+            row.append(-t_j * roots[n] * row[-1] / roots[n + 1])
+        k[j, 1, 1::2] = row
+    root_sech = root * sech[:, None]
+    t_root = t[:, None] * root
     for m in range(n_max):
-        k[m + 2, 1:] = (root_sech * k[m + 1, :-1] + t * root[m] * k[m, 1:]) / root[m + 1]
-    return k[1:, 1:]
+        k[:, m + 2, 1:] = (root_sech * k[:, m + 1, :-1]
+                           + t_root[:, m, None] * k[:, m, 1:]) / root[m + 1]
+    return k[:, 1:, 1:]
+
+
+def _overlap_table(nu: float, omega: float, n_max: int) -> np.ndarray:
+    """Table of <m_nu|n_omega> for m, n = 0..n_max (same-center oscillators)."""
+    return _overlap_tables(np.array([nu], dtype=float), np.array([omega], dtype=float),
+                           n_max)[0]
 
 
 def _two_mode_table(ground: PhononBasis, excited: PhononBasis, n_max: int) -> np.ndarray:
@@ -129,7 +154,8 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCM
     vectors agree the matrix is an exact tensor product of 1D overlaps;
     otherwise it comes from the two-mode recursion of the module docstring.
     Both are exact recursions, so no order or tolerance is involved. Emits
-    TruncationWarning when any bra row norm drops below 1 - 1e-4. Raises
+    TruncationWarning when any bra row norm drops below 1 - 1e-4; its
+    row_norm attribute holds the smallest row norm, unrounded. Raises
     DomainError, before allocating, unless n_max is an integer in
     [0, N_MAX_LIMIT].
     """
@@ -137,18 +163,19 @@ def fc_matrix(ground: PhononBasis, excited: PhononBasis, n_max: int = 10) -> FCM
         raise DomainError(f"n_max must be an integer in [0, {N_MAX_LIMIT}], got {n_max!r}")
     aligned = np.max(np.abs(ground.eigenvectors - excited.eigenvectors)) <= ALIGNMENT_TOL
     if aligned:
-        t1 = _overlap_table(excited.frequencies[0], ground.frequencies[0], n_max)
-        t2 = _overlap_table(excited.frequencies[1], ground.frequencies[1], n_max)
-        entries = np.kron(t1, t2)
+        tables = _overlap_tables(excited.frequencies, ground.frequencies, n_max)
+        t1, t2 = tables
+        dim = (n_max + 1) ** 2
+        result = FCMatrix(n_max, (t1[:, None, :, None] * t2[None, :, None, :]).reshape(dim, dim))
+        # a row norm of the product is the product of its factors' row norms,
+        # so the smallest is sqrt(min |t1 row|^2 * min |t2 row|^2): O(n^2) work
+        least1, least2 = np.sum(tables**2, axis=2).min(axis=1).tolist()
+        worst = math.sqrt(least1 * least2)
     else:
-        entries = _two_mode_table(ground, excited, n_max)
-    result = FCMatrix(n_max=n_max, entries=entries)
-    worst = result.row_norms().min()
+        result = FCMatrix(n_max, _two_mode_table(ground, excited, n_max))
+        worst = result.row_norms().min()
     if worst < 1.0 - ROW_NORM_DEFECT_TOL:
-        warnings.warn(
+        warnings.warn(TruncationWarning(
             f"FC row norm {worst:.6f} < {1.0 - ROW_NORM_DEFECT_TOL}; "
-            f"raise n_max={n_max} to restore truncated unitarity",
-            TruncationWarning,
-            stacklevel=2,
-        )
+            f"raise n_max={n_max} to restore truncated unitarity", worst), stacklevel=2)
     return result

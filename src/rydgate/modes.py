@@ -102,12 +102,14 @@ def diagonalize(h: HessianSpec) -> PhononBasis:
     Raises ModeInstability when any eigenvalue is <= 0.
     """
     evals, evecs = np.linalg.eigh(h.matrix())
-    if np.any(evals <= 0.0):
+    # the eigenvalue check and the sign rule compare Python floats: the same
+    # comparisons as on numpy scalars, without their per-call overhead
+    if any(value <= 0.0 for value in evals.tolist()):
         raise ModeInstability(
             f"non-positive Hessian eigenvalue(s) {evals[evals <= 0.0]} on axis {h.axis}"
         )
-    for j in range(evecs.shape[1]):
-        lead = evecs[0, j] if abs(evecs[0, j]) > 1e-14 else evecs[1, j]
-        if lead < 0.0:
+    first, second = evecs.tolist()
+    for j, (top, bottom) in enumerate(zip(first, second)):
+        if (top if abs(top) > 1e-14 else bottom) < 0.0:
             evecs[:, j] = -evecs[:, j]
     return PhononBasis(frequencies=np.sqrt(evals), eigenvectors=evecs)

@@ -410,6 +410,24 @@ class TestCLI:
         assert "[pulse] delta0_mhz must be > 0, got 0.0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("command", ["gate", "evolve"])
+    @pytest.mark.parametrize("section, key, bound, requirement", [
+        ("pulse", "tau_us", 500.0, "must lie in (0, 500]"),
+        ("simulation", "blockade_mhz", 50.0, "must lie in [0, 50]")])
+    def test_above_pulse_bound_exit_code(self, command, section, key, bound, requirement,
+                                         tmp_path, capsys):
+        # a long or strong enough pulse ran evolve into the stepper's
+        # MAX_ATTEMPTS and exited 3; above the bound it is a validation error
+        above = math.nextafter(bound, math.inf)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[{section}]\n{key} = {above!r}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--output", str(out)]) == 2
+        assert f"[{section}] {key} {requirement}, got {above!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+        cfg = load_config(bad, {f"{section}.{key}": repr(bound)})  # the bound itself is admitted
+        assert getattr(getattr(cfg, section), key) == bound
+
     def test_flag_is_not_taken_as_a_value(self, tmp_path, capsys):
         out = tmp_path / "gate.json"
         with pytest.raises(SystemExit) as exc:

@@ -79,6 +79,65 @@ def overlap_table_reference(nu, omega, n_max):
     return k
 
 
+def row_recursion_reference(nu, omega, n_max):
+    """The one-mode row recursion on numpy scalars, as fc_matrix ran it per mode before
+    the stacked recursion; its bits, zero signs included, are the ones to keep."""
+    t = (nu - omega) / (nu + omega)
+    sech = 2.0 * np.sqrt(nu * omega) / (nu + omega)
+    root = np.sqrt(np.arange(n_max + 1))
+    k = np.zeros((n_max + 2, n_max + 2))
+    k[1, 1] = np.sqrt(sech)
+    for n in range(1, n_max, 2):
+        k[1, n + 2] = -t * root[n] * k[1, n] / root[n + 1]
+    root_sech = root * sech
+    for m in range(n_max):
+        k[m + 2, 1:] = (root_sech * k[m + 1, :-1] + t * root[m] * k[m, 1:]) / root[m + 1]
+    return k[1:, 1:]
+
+
+def aligned_case(rng, axis, n_max, pol):
+    """(ground, excited, n_max) of a seeded trap whose two ions share polarizability pol."""
+    trap = from_secular(TWO_PI * rng.uniform(0.8e6, 1.2e6), TWO_PI * rng.uniform(3.5e6, 4.5e6),
+                        TWO_PI * 30e6, CA40_MASS)
+    geom = equilibrium_geometry(trap)
+    ground = diagonalize(build_hessian(axis, trap, geom))
+    return ground, diagonalize(build_hessian(axis, trap, geom, pol_per_ion=(pol, pol))), n_max
+
+
+def seeded_aligned_cases(seed, n_maxes, pol_range):
+    """One aligned case per n_max on X, Y and Z in turn, pol log-uniform in -pol_range.
+
+    Both ions carry one polarizability, so the mode vectors agree; on Z the
+    surfaces coincide (nu = omega).
+    """
+    rng = np.random.default_rng(seed)
+    return [aligned_case(rng, "XYZ"[i % 3], n_max, -np.exp(rng.uniform(*np.log(pol_range))))
+            for i, n_max in enumerate(n_maxes)]
+
+
+def straddling_cases(seed, axis, n_max, offset=1e-3):
+    """Two aligned cases whose smallest row norm lies just above and just below 1 - tol.
+
+    Bisects the shared polarizability (log scale) onto the threshold, then
+    steps it by a relative offset either way.
+    """
+    threshold = 1.0 - franck_condon.ROW_NORM_DEFECT_TOL
+    lo, hi = np.log(1e4), np.log(1e10)  # pol magnitudes that pass and fail
+
+    def make(log_pol):
+        return aligned_case(np.random.default_rng(seed), axis, n_max, -np.exp(log_pol))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if fc_matrix(*make(mid)).row_norms().min() < threshold:
+                hi = mid
+            else:
+                lo = mid
+    return [make(lo + np.log1p(-offset)), make(hi + np.log1p(offset))]
+
+
 class TestOverlap1D:
     # the aligned path's 1D table <m_nu|n_omega>, m, n = 0..n_max
 
@@ -127,6 +186,22 @@ class TestOverlap1D:
         assert table.shape == (n_max + 1, n_max + 1)
         assert np.array_equal(table, overlap_table_reference(nu, omega, n_max))
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 20])
+    def test_stacked_recursion_equals_one_mode_tables(self, n_max):
+        # the stacked recursion of fc_matrix's aligned path gives each pair
+        # the bits of its one-pair table and of the numpy-scalar row
+        # recursion, nu = omega included
+        rng = np.random.default_rng(n_max)
+        nu = np.append(rng.uniform(0.05, 10.0, 4), 2.3)
+        omega = np.append(rng.uniform(0.05, 10.0, 4), 2.3)
+        stacked = franck_condon._overlap_tables(nu, omega, n_max)
+        assert stacked.shape == (5, n_max + 1, n_max + 1)
+        for j in range(5):
+            one = franck_condon._overlap_table(nu[j], omega[j], n_max)
+            assert stacked[j].tobytes() == one.tobytes()
+            assert one.tobytes() == row_recursion_reference(nu[j], omega[j], n_max).tobytes()
+        assert np.array_equal(stacked[4], np.eye(n_max + 1))
+
 
 @pytest.fixture(scope="module")
 def bases():
@@ -159,6 +234,41 @@ class TestMatrix:
                 product = t1[k1, j1] * t2[k2, j2]
                 assert fc.entries[fc.flat_index(k1, k2), fc.flat_index(j1, j2)] \
                     == pytest.approx(product, abs=1e-14)
+
+    def test_aligned_entries_are_kron_of_tables_bits(self):
+        # one broadcast product per entry, as np.kron forms it: uint64-equal
+        # on seeded aligned traps on X, Y and Z at every n_max from 0 to 20
+        for ground, excited, n_max in seeded_aligned_cases(
+                25, [n for n in range(21) for _ in range(3)], (1e5, 3e9)):
+            t1, t2 = (franck_condon._overlap_table(nu, omega, n_max)
+                      for nu, omega in zip(excited.frequencies, ground.frequencies))
+            entries = fc_matrix(ground, excited, n_max).entries
+            assert entries.shape == ((n_max + 1) ** 2,) * 2
+            assert np.array_equal(entries.view(np.uint64), np.kron(t1, t2).view(np.uint64))
+
+    def test_aligned_truncation_check_on_the_factors(self):
+        # the warning fires exactly when the whole matrix's smallest row norm
+        # is below 1 - tol, and reports that norm to within 4 ulp: on seeded
+        # cases across the threshold and on pairs within 1e-5 either side of it
+        threshold = 1.0 - franck_condon.ROW_NORM_DEFECT_TOL
+        cases = seeded_aligned_cases(26, [n % 15 for n in range(90)], (1e5, 1e9))
+        for i, (axis, n_max) in enumerate([("X", 0), ("Y", 1), ("X", 6), ("Y", 14)]):
+            cases += straddling_cases(i, axis, n_max)
+        gaps = []
+        for ground, excited, n_max in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fc = fc_matrix(ground, excited, n_max)
+            worst = fc.row_norms().min()
+            assert [w.category for w in caught] == ([TruncationWarning] if worst < threshold else [])
+            if caught:
+                reported = caught[0].message.row_norm
+                assert abs(reported - worst) <= 4 * np.spacing(worst)
+                assert f"FC row norm {reported:.6f} < {threshold}" in str(caught[0].message)
+            gaps.append(worst - threshold)
+        gaps = np.array(gaps)
+        assert np.sum(gaps < -1e-3) >= 10 and np.sum(gaps > 0) >= 10
+        assert np.sum((gaps < 0) & (gaps > -1e-5)) >= 4 and np.sum((gaps > 0) & (gaps < 1e-5)) >= 4
 
     def test_quadrature_path_matches_recursion_on_aligned_case(self, bases):
         # cross-check of the two code paths: the rotated path's two-mode

@@ -101,6 +101,35 @@ def test_eigenvectors_orthonormal_and_sign_fixed(trap, geom):
         assert lead > 0
 
 
+def test_sign_rule_keeps_the_numpy_scalar_bits(trap, geom):
+    # the eigenvalue test and the sign rule run on Python floats; the basis
+    # keeps the bits of the numpy-scalar rule, also where the first component
+    # vanishes (no Coulomb coupling: unit mode vectors) and an unstable case
+    # raises with the same text
+    from rydgate.modes import HessianSpec
+
+    rng = np.random.default_rng(3)
+    specs = [build_hessian(axis, trap, geom, pol_per_ion=tuple(rng.uniform(-2e9, 2e8, 2)))
+             for axis in "XYZ" for _ in range(20)]
+    specs += [HessianSpec(axis, 54.0, 0.0, shifts)
+              for axis, shifts in (("X", (10.0, -10.0)), ("Y", (-10.0, 10.0)), ("X", (0.0, 0.0)))]
+    for h in specs:
+        evals, evecs = np.linalg.eigh(h.matrix())
+        for j in range(2):
+            lead = evecs[0, j] if abs(evecs[0, j]) > 1e-14 else evecs[1, j]
+            if lead < 0.0:
+                evecs[:, j] = -evecs[:, j]
+        basis = diagonalize(h)
+        assert basis.frequencies.tobytes() == np.sqrt(evals).tobytes()
+        assert basis.eigenvectors.tobytes() == evecs.tobytes()
+    unstable = HessianSpec("X", 1.0, 0.0, (2.0, 0.5))
+    evals = np.linalg.eigvalsh(unstable.matrix())
+    with pytest.raises(ModeInstability) as caught:
+        diagonalize(unstable)
+    assert str(caught.value) == (
+        f"non-positive Hessian eigenvalue(s) {evals[evals <= 0.0]} on axis X")
+
+
 def test_frequencies_continuous_in_polarizability(trap, geom):
     for pol0 in (-1e9, -2e8, 2e8):
         deltas = [1e7, 5e6, 2.5e6]
