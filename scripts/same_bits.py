@@ -14,7 +14,8 @@ same inputs.
 The suite covers the design chain (optimize_pulse roots and NoRoot cases,
 every entangling_phase field and the unitary, adiabaticity_ratio and the
 four phase_trace arrays) on 600 benchmark gate_design tasks, 300 random
-designs and 18 weak-drive corners (omega0 / delta0 <= 1e-9); dress,
+designs, the first 100 of them scaled in time and energy by 2 and 1/2, and
+18 weak-drive corners (omega0 / delta0 <= 1e-9); dress,
 dd_coefficients, pair_potential_full and lower_branch_shift; aligned and
 rotated fc_matrix, with the row norm each TruncationWarning reports (some
 cases within 1e-3 of its threshold); entangling_phase_dynamic at small n;
@@ -120,6 +121,19 @@ def _design_chain(out, prefix, cases, rng):
                 gate.PulseShape(omega0, delta0, tau), blockade))
     for name, values in rows.items():
         out[f"{prefix}.{name}"] = np.array(values)
+
+
+def _scaled_designs(out, cases):
+    """The design chain on (s omega0, tau / s, s B) for s = 2 and 1/2.
+
+    Time-energy scaling leaves every phase unchanged, exactly so for a power
+    of two s (tests/test_invariants.py). The off-root delta0 are drawn from
+    one seed for both s, so they scale with omega0.
+    """
+    for s, label in ((2.0, "x2"), (0.5, "half")):
+        _design_chain(out, f"scaling.{label}", [(s * omega0, tau / s, s * blockade)
+                                                for omega0, tau, blockade in cases],
+                      np.random.default_rng(SEED))
 
 
 def _weak_drive_corners(out, small):
@@ -248,7 +262,9 @@ def suite(small=False):
                            interactions.dd_shift(c3, task["r0_um"])))
         _pair_outputs(out, "tasks", drives)
         _design_chain(out, "tasks", cases, rng)
-        _design_chain(out, "designs", _random_designs(rng, n_designs), rng)
+        designs = _random_designs(rng, n_designs)
+        _design_chain(out, "designs", designs, rng)
+        _scaled_designs(out, designs[:100])
         _weak_drive_corners(out, small)
         # drives of either detuning sign, d1 = 0 and R0 well into the weak drive
         drives = [(dressing.MWDrive(mhz(rng.uniform(1.0, 800.0)), mhz(rng.uniform(-300.0, 300.0)),

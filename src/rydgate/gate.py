@@ -9,21 +9,18 @@ combination phi_DD - 2 phi_DE. Phases follow the positive convention
 phi = integral E dt. The integrands are smooth and tau-periodic, so one
 trapezoid rule on nested uniform grids, exponentially convergent, serves
 entangling_phase, optimize_pulse (its scan as one array) and phase_trace.
-Most single delta0 settle on 32 or 64 nodes, so the first light-shift call
-of an integral covers 64 nodes at once; finer grids add odd nodes only for
-the delta0 that still move. The pulse shape on each grid does not depend on
-delta0, so its tables are built once per process and shared. The
-optimizer's scan needs only the sign of phi_ent - pi on each row, so a row
-far from the root stops once its sign is settled, and its first call covers
-the 32 nodes on which nearly every row settles; the two rows that bracket
-the root are integrated again, converged, starting from their columns of
-that call instead of evaluating those nodes anew. The ladder sums each
-level with numpy and keeps its per-row bookkeeping on Python floats, which
-costs less than numpy's per-call overhead on a few rows.
-The converged integral of one design point (omega0, delta0, tau, B) is kept
-(the last 16), so Brent's evaluation at the root serves entangling_phase and
-phase_trace there. phase_trace's sine table takes the fractional part of
-k t / tau as u - floor(u), exact for u >= 0.
+The optimizer's scan needs only the sign of phi_ent - pi on each row, so a
+row far from the root stops once its sign is settled.
+
+Six devices speed the design chain up at the same bits, each priced where
+it is defined by the gate_design throughput it buys (BENCH_26.json): the
+pulse-shape tables of each grid, built once per process (_node_tables); the
+first light-shift call of an integral on 64 nodes, 32 in the scan, whose
+columns the bracket's rows reuse (_look_ahead); the ladder's bookkeeping on
+Python floats; the kept integral of the last 16 design points, so Brent's
+evaluation at the root serves entangling_phase and phase_trace there
+(_root_integral); Newton steps that skip the mask on the first step; and
+the light shifts' 0-d array constants.
 
 Both light shifts are exact adiabatic eigenvalues: E_DE of the 2x2
 {|DE>, |-E>} block and E_DD of the ion-symmetric 3x3 block {|DD>, |D->_+,
@@ -34,7 +31,6 @@ reference design it is 0.07 rad away from the exact phase.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +47,8 @@ MAX_NODES = 2**17  # trapezoid nodes per pulse before ToleranceFailure; a power 
 EIG_STEP_RTOL = 1e-7  # relative size of the last Newton step; about its square remains
 EIG_MAX_STEPS = 50
 BRENT_XTOL, BRENT_RTOL, BRENT_MAX_ITER = 1e-14, 8.9e-16, 100  # root polish in optimize_pulse
-# The light shifts take their constants as 0-d arrays: numpy 2 converts a Python
-# float operand on every ufunc call, at about a third of the cost of the call on
-# the ladder's 32-64 nodes. The values, and so the results, are the same.
+# 0-d arrays, which numpy 2 does not convert on each ufunc call as it does a Python float:
+# +2.6% gate_design throughput (12 perfbench pairs; +3.1% in process), same results
 _HALF, _TWO, _THREE, _FOUR = (np.array(v) for v in (0.5, 2.0, 3.0, 4.0))
 _TINY = np.array(np.finfo(float).tiny)  # keeps the all-zero block at 0 instead of 0/0
 
@@ -79,11 +74,7 @@ class PulseShape:
     def __post_init__(self):
         for name in ("omega0", "delta0", "tau"):
             value = getattr(self, name)
-            if type(value) is float:  # the common case, without numpy's per-call cost
-                finite = math.isfinite(value)
-            else:
-                finite = np.size(value) == 1 and np.isfinite(value).all()
-            if not finite:
+            if not (np.size(value) == 1 and np.isfinite(value).all()):
                 raise ValidationError(f"pulse {name} must be one finite number, got {value}")
         if self.tau <= 0.0:
             raise ValidationError(f"pulse duration must be positive, got {self.tau}")
@@ -157,6 +148,7 @@ def _light_shift_dd(om, e, blockade):
     lam = _HALF * (a_eff - np.sqrt(a_eff * a_eff + four_c2))
     k2, k1, k0 = a + b, _TWO * c2 - a * b, c2 * b
     two_k2 = _TWO * k2
+    # Buys +6.5% gate_design throughput (6 perfbench pairs; +6.1% in process).
     moving = True  # each entry stops on its own step, so batching does not change it
     for _ in range(EIG_MAX_STEPS):
         poly = ((k2 - lam) * lam + k1) * lam - k0
@@ -199,6 +191,7 @@ def gate_unitary(phi_ent: float, phi_de: float) -> np.ndarray:
     )
 
 
+# Buys +7.7% gate_design throughput (6 perfbench pairs; +7.5% in process).
 @functools.lru_cache(maxsize=None)  # n is a power of two <= MAX_NODES: a few entries
 def _node_tables(n, odd):
     """sin^2(pi x) and 0.5 + cos^2(pi x) at x = j / n, or (j + 1/2) / n if odd; read-only.
@@ -234,7 +227,7 @@ def _look_ahead(omega0, delta0, blockade, n=64):
 
 def _as_float(value):
     """A Python float of one number given as a float, a numpy scalar or a 1-element array."""
-    return value if type(value) is float else np.asarray(value, dtype=float).item()
+    return np.asarray(value, dtype=float).item()
 
 
 def _accumulated_phases(omega0, delta0, tau, blockade, target=None, ahead=None):
@@ -249,19 +242,19 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None, ahead=None):
     fourth, ... of them; a caller that already holds such columns (the scan's
     32-node call) passes them as ahead, and the ladder makes no call for
     levels they cover. Past them, each doubling adds the odd nodes of the rows
-    not done. Every call takes the pulse shape from the shared _node_tables.
-    The nodes are exact dyadic fractions and each entry of _light_shift_dd
-    stops on its own Newton step, so every level has the bits of evaluating
-    it on its own, however its nodes were computed. A level's sums are numpy's
-    pairwise sums over its contiguous nodes; the rest of the bookkeeping runs
-    on Python floats, the same IEEE operations as on numpy's. Also returns the
-    nodes (2, k, N) of the k rows done last.
+    not done. The nodes are exact dyadic fractions and each entry of
+    _light_shift_dd stops on its own Newton step, so every level has the bits
+    of evaluating it on its own, however its nodes were computed. A level's
+    sums are numpy's pairwise sums over its contiguous nodes; the bookkeeping
+    on Python floats makes numpy's IEEE operations. Also returns the nodes
+    (2, k, N) of the k rows done last.
     """
     delta0 = np.atleast_1d(np.asarray(delta0, dtype=float))
     tau = _as_float(tau)
     if ahead is None:
         ahead = _look_ahead(omega0, delta0, blockade)
     n_ahead = ahead.shape[-1]
+    # Python floats buy +3.2% gate_design throughput (12 perfbench pairs; +4.8% in process).
     phi, rows = [[0.0] * delta0.size, [0.0] * delta0.size], list(range(delta0.size))
     vals = ahead[..., ::n_ahead // 16].copy()
     prev = [[tau * (s / 16) for s in sums] for sums in vals.sum(axis=-1).tolist()]
@@ -283,8 +276,6 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None, ahead=None):
         if not any(done):  # every row goes on: no subsets to take
             prev = new
             continue
-        if len(rows) == delta0.size and all(done):  # every row ends on this level
-            return np.array(new), vals
         for row, dd, de, row_done in zip(rows, *new, done):
             if row_done:
                 phi[0][row], phi[1][row] = dd, de
@@ -298,6 +289,7 @@ def _accumulated_phases(omega0, delta0, tau, blockade, target=None, ahead=None):
     raise ToleranceFailure(f"phase integrals not converged on {MAX_NODES} nodes")
 
 
+# Buys +14.9% gate_design throughput (6 perfbench pairs; +12.9% in process).
 # The root Brent returns was one of its last 4 evaluations on 400 random designs,
 # so 16 entries keep it for entangling_phase and phase_trace with room. An entry
 # holds about 1 KB (32-64 nodes), at most 2 MB (MAX_NODES nodes).
@@ -424,6 +416,8 @@ def optimize_pulse(omega0: float, tau: float, blockade: float) -> float:
         return phi_dd - 2.0 * phi_de - np.pi
 
     grid = np.geomspace(1e-3 * omega0, 50.0 * omega0, 40)
+    # 32 nodes and the bracket's reuse buy +9.6% gate_design throughput over a 64-node
+    # scan and a fresh bracket (6 perfbench pairs; +9.6% in process)
     ahead = _look_ahead(omega0, grid, blockade, 32)
     values = objective(grid, np.pi, ahead).tolist()  # signs only; a row stopped early is nonzero
     for i, (fa, fb) in enumerate(zip(values[:-1], values[1:])):

@@ -127,9 +127,11 @@ class TestLoadConfig:
         ("rtol", 1e-3, True),
         ("rtol", math.nextafter(RTOL_FLOOR, 0.0), False),
         ("rtol", math.nextafter(1e-3, 1.0), False),
-        ("atol", 5e-324, True),
+        ("atol", 1e-100, True),
         ("atol", 1e-3, True),
         ("atol", 0.0, False),
+        ("atol", 5e-324, False),
+        ("atol", math.nextafter(1e-100, 0.0), False),
         ("atol", math.nextafter(1e-3, 1.0), False),
         ("n_output", 2, True),
         ("n_output", N_OUTPUT_LIMIT, True),
@@ -427,6 +429,18 @@ class TestCLI:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
         cfg = load_config(bad, {f"{section}.{key}": repr(bound)})  # the bound itself is admitted
         assert getattr(getattr(cfg, section), key) == bound
+
+    @pytest.mark.parametrize("atol", [1e-200, 1e-300])
+    def test_atol_below_floor_exit_code(self, atol, tmp_path, capsys):
+        # below the floor the first step's error norm overflowed, and evolve
+        # ran into the stepper's MAX_ATTEMPTS (about 6 s) and exited 3
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[simulation]\natol = {atol!r}\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(bad), "--output", str(out)]) == 2
+        assert (f"[simulation] atol must lie in [1e-100, 1e-3], got {atol!r}"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
     def test_flag_is_not_taken_as_a_value(self, tmp_path, capsys):
         out = tmp_path / "gate.json"

@@ -278,6 +278,14 @@ class TestEvolve:
         with pytest.raises(DomainError, match="basis labels out of range"):
             basis_index(*labels, 5)
 
+    @pytest.mark.parametrize("atol", [5e-324, 1e-300, 1e-200, np.nextafter(1e-100, 0.0)])
+    def test_atol_below_floor_rejected(self, atol):
+        # at 1e-200 the stepper's first error norm overflowed and the run made
+        # 100 000 attempts before its ToleranceFailure
+        with pytest.raises(ValidationError, match=r"atol must lie in \[1e-100, 1e-3\]"):
+            reference_config(atol=atol)
+        assert reference_config(atol=1e-100).atol == 1e-100
+
     def test_rtol_below_stepper_floor_rejected(self):
         # the stepper would raise such an rtol to its floor with only a warning
         with pytest.raises(ValidationError, match="rtol"):

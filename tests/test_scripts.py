@@ -76,3 +76,20 @@ def test_run_gate_dynamics(tmp_path, monkeypatch, capsys):
     with open(f"{out}.summary.json", encoding="utf-8") as handle:
         assert sorted(json.load(handle)) == sorted(summary_keys)
     assert capsys.readouterr().out.splitlines()[0] == f"wrote {out} and {out}.summary.json"
+
+
+def test_bench_summary_reads_every_bench_file(monkeypatch, capsys, tmp_path):
+    # the trajectory in ROADMAP's aims 1 and 2 is read from these lines
+    files = sorted(f for f in os.listdir(REPO) if re.fullmatch(r"BENCH_\d+\.json", f))
+    assert files
+    _run_script("bench_summary", [], monkeypatch)
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(line.split()[0] for line in lines) == files
+    for line in lines:
+        assert re.fullmatch(r"BENCH_\d+\.json +(\w+ \w+|no gain; worst \w+ \w+ [+-]\d+\.\d%): "
+                            r"\d+ pairs, \d+/\d+ wins, \S+ -> \S+; src \d+ -> \d+", line), line
+    # a file without the fields it reads stops the script, naming the file
+    broken = tmp_path / "BENCH_0.json"
+    broken.write_text('{"claimed_gain": null}')
+    with pytest.raises(SystemExit, match="BENCH_0.json: cannot summarise"):
+        _run_script("bench_summary", [str(broken)], monkeypatch)
