@@ -11,9 +11,7 @@ keys. Exit codes: 0 success, 2 validation/parse errors, 3 numerical failures.
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -56,13 +54,21 @@ def _emit(text: str, path: str):
         sys.stdout.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
-    return buf.getvalue()
+def _csv_text(header, block, text=()) -> str:
+    """CSV of the numeric 2-D block, each row led by its cells of the text columns.
+
+    text holds 0, 1 or 2 columns of str, one cell per row of block. Numbers
+    are written as fmt writes them: "%.12g" and format(x, ".12g") share
+    CPython's float-to-string path, and the array's + 0.0 normalizes negative
+    zero as fmt's does. Header and text cells are labels this module makes
+    (column names, "ground", "X", "k=1.2"); none holds a comma, quote or line
+    break, so no cell needs CSV quoting.
+    """
+    values = (np.asarray(block, dtype=float) + 0.0).tolist()
+    n_text = len(text)
+    template = ",".join(["%s"] * n_text + ["%.12g"] * (len(header) - n_text)) + "\n"
+    return ",".join(header) + "\n" + "".join(
+        [template % (*cells, *row) for *cells, row in zip(*text, values)])
 
 
 def _json_text(obj) -> str:
@@ -72,19 +78,22 @@ def _json_text(obj) -> str:
 def _cmd_modes(cfg: RunConfig, args) -> str:
     trap_cfg = cfg.trap.trap_config()
     geom = equilibrium_geometry(trap_cfg)
-    rows = []
+    labels, axes, rows = [], [], []
     for label, pol in (("ground", (0.0, 0.0)),
                        ("p_state", (cfg.dressing.pol_p, cfg.dressing.pol_p))):
         for axis in modes.AXES:
             basis = modes.diagonalize(modes.build_hessian(axis, trap_cfg, geom, pol))
             for j in range(2):
+                labels.append(label)
+                axes.append(axis)
                 rows.append([
-                    label, axis, j,
+                    j,
                     to_mhz(basis.frequencies[j]),
                     basis.eigenvectors[0, j],
                     basis.eigenvectors[1, j],
                 ])
-    return _csv_text(["config", "axis", "mode", "freq_mhz", "v_ion1", "v_ion2"], rows)
+    return _csv_text(["config", "axis", "mode", "freq_mhz", "v_ion1", "v_ion2"], rows,
+                     (labels, axes))
 
 
 def _cmd_fc(cfg: RunConfig, args) -> str:
@@ -95,8 +104,8 @@ def _cmd_fc(cfg: RunConfig, args) -> str:
     excited = modes.diagonalize(modes.build_hessian(args.axis, trap_cfg, geom, pol))
     fc = franck_condon.fc_matrix(ground, excited, n_max=args.n_max)
     labels = [f"{m1}.{m2}" for m1, m2 in fc.labels]
-    rows = [[f"k={lbl}"] + list(fc.entries[i]) for i, lbl in enumerate(labels)]
-    return _csv_text(["bra"] + [f"j={lbl}" for lbl in labels], rows)
+    return _csv_text(["bra"] + [f"j={lbl}" for lbl in labels], fc.entries,
+                     ([f"k={lbl}" for lbl in labels],))
 
 
 def _cmd_dress(cfg: RunConfig, args) -> str:
@@ -112,19 +121,18 @@ def _cmd_interactions(cfg: RunConfig, args) -> str:
     pair = dress(drive, cfg.dressing.pol_p, cfg.dressing.pol_s)
     model = interactions.dd_coefficients(pair, drive.d1)
     sweep = cfg.interactions
-    rows = []
-    for r0 in np.linspace(sweep.r_min_um, sweep.r_max_um, sweep.points):
-        eigs = interactions.pair_potential_full(drive, r0)
-        rows.append([
-            r0,
-            to_mhz(interactions.vdw_shift(cfg.interactions.c6, r0)),
-            to_mhz(interactions.dd_shift(model.c3_minus, r0)),
-            *[to_mhz(e) for e in eigs],
-        ])
+    r0s = np.linspace(sweep.r_min_um, sweep.r_max_um, sweep.points)
+    # the power laws on Python floats, point by point: numpy's array ** can
+    # differ from scalar pow in the last bit
+    points = r0s.tolist()
+    vdw = [interactions.vdw_shift(sweep.c6, r0) for r0 in points]
+    dd = [interactions.dd_shift(model.c3_minus, r0) for r0 in points]
+    eigs = interactions.pair_potential_full(drive, r0s)
     header = ["R0_um", "vdw_mhz", "dd_minus_mhz",
               "full_branch_1_mhz", "full_branch_2_mhz",
               "full_branch_3_mhz", "full_branch_4_mhz"]
-    return _csv_text(header, rows)
+    shifts = to_mhz(np.column_stack([vdw, dd, eigs]))
+    return _csv_text(header, np.column_stack([r0s, shifts]))
 
 
 def _cmd_gate(cfg: RunConfig, args) -> str:
@@ -135,8 +143,8 @@ def _cmd_gate(cfg: RunConfig, args) -> str:
         pulse = gate.PulseShape(omega0=pulse.omega0, delta0=delta0, tau=pulse.tau)
     if args.trace:
         times, phi_dd, phi_de, phi_ent = gate.phase_trace(pulse, blockade)
-        rows = list(zip(times, phi_dd, phi_de, phi_ent))
-        return _csv_text(["t_us", "phi_DD", "phi_DE", "phi_ent"], rows)
+        return _csv_text(["t_us", "phi_DD", "phi_DE", "phi_ent"],
+                         np.column_stack([times, phi_dd, phi_de, phi_ent]))
     design = gate.entangling_phase(pulse, blockade)
     diag = np.diag(design.unitary)
     payload = {
@@ -160,10 +168,10 @@ def _cmd_evolve(cfg: RunConfig, args) -> str:
     trace = phases["trace_dd"]
     mean_n, deviation = dynamics.phonon_excitation(trace)
     p_loss = dynamics.loss_probability(trace, cfg.simulation.tau0_us)
-    rows = list(zip(trace.times, trace.p_dd, trace.p_dm, trace.p_mm,
-                    trace.p_init, mean_n, trace.norms))
     csv_text = _csv_text(
-        ["t_us", "p_DD", "p_Dm", "p_mm", "p_init", "mean_phonon", "norm"], rows)
+        ["t_us", "p_DD", "p_Dm", "p_mm", "p_init", "mean_phonon", "norm"],
+        np.column_stack([trace.times, trace.p_dd, trace.p_dm, trace.p_mm,
+                         trace.p_init, mean_n, trace.norms]))
     summary = {
         "phi_ent_dynamic": phases["phi_ent_dynamic"],
         "phi_dd_dynamic": phases["phi_dd_dynamic"],

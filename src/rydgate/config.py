@@ -134,10 +134,12 @@ class RunConfig:
         return secular_frequencies(self.trap.trap_config()).omega_z
 
 
-_SECTIONS = {f.name: f.type for f in fields(RunConfig)}
+# section name -> (its dataclass, field name -> field)
+_SECTIONS = {f.name: (f.type, {g.name: g for g in fields(f.type)}) for f in fields(RunConfig)}
 
-# largest [interactions] points: a 10 000-point sweep takes about 37 MB and
-# 0.8 s, 100 000 about 8 s (one BLAS thread)
+# largest [interactions] points: a 10 000-point sweep peaks near 40 MB and
+# takes about 0.06 s with its 1 MB CSV, 100 000 about 120 MB and 0.7 s (one
+# BLAS thread)
 _POINTS_LIMIT = 10_000
 
 # largest [pulse] tau_us and [simulation] blockade_mhz: at both, with rtol at
@@ -209,9 +211,12 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
     kwargs = {}
-    for name, cls in _SECTIONS.items():
-        known = {f.name: f for f in fields(cls)}
-        given = parser[name] if parser.has_section(name) else {}
+    for name, (cls, known) in _SECTIONS.items():
+        given = {}
+        if parser.has_section(name):
+            values = dict(parser.items(name, raw=True))
+            # in the section's own key order, then [DEFAULT]'s, as a SectionProxy lists them
+            given = {key: values[key] for key in parser.options(name)}
         for key in given:
             if key not in known:
                 raise ValidationError(f"unknown key '{key}' in section [{name}]")

@@ -41,7 +41,7 @@ _LABEL = {"E": IDX_E, "D": IDX_D, "M": IDX_M, "-": IDX_M}
 # takes about 0.9 s at 40 against 0.1 s at 10 (one BLAS thread)
 N_PHONON_MAX_LIMIT = 40
 # largest n_output: 10 000 samples at n_phonon_max = 40 take about 230 MB
-# and 2.3 s, 100 000 about 1.9 GB (one BLAS thread)
+# and 1.5 s and write a 1 MB CSV, 100 000 about 1.9 GB (one BLAS thread)
 N_OUTPUT_LIMIT = 10_000
 # SimConfig field -> (predicate, requirement text); config.load_config checks
 # the [simulation] keys of the same names by these rules

@@ -37,14 +37,14 @@ class InteractionModel:
 
 def vdw_shift(c6: float, r0: float) -> float:
     """van der Waals energy C6/R0^6 (rad/us) at separation r0 (um)."""
-    if r0 <= 0.0:
+    if not r0 > 0.0:  # NaN fails too
         raise DomainError("separation must be positive")
     return c6 / r0**6
 
 
 def dd_shift(c3: float, r0: float) -> float:
     """Dipole-exchange energy C3/R0^3 (rad/us) at separation r0 (um)."""
-    if r0 <= 0.0:
+    if not r0 > 0.0:  # NaN fails too
         raise DomainError("separation must be positive")
     return c3 / r0**3
 
@@ -68,33 +68,48 @@ def exchange_coupling(d1: float, r0: float) -> float:
     return joule_to_rad_us(g_si)
 
 
-def pair_potential_full(drive: MWDrive, r0: float = 5.0) -> np.ndarray:
+def pair_potential_full(drive: MWDrive, r0=5.0) -> np.ndarray:
     """Sorted eigenvalues (rad/us) of the driven two-ion pair Hamiltonian.
 
     Basis {PP, PS, SP, SS}: the single-ion drive Hamiltonian acts on each
-    factor and the resonant exchange couples PS <-> SP. Valid deep in the
-    strong-drive regime; emits WeakDriveWarning when Omega_MW is less than
-    ten times the bare exchange energy C0 d1^2/(q^2 R0^3), d1 = drive.d1.
+    factor and the resonant exchange couples PS <-> SP. r0 (um) is a scalar,
+    giving shape (4,), or a 1-D array, giving one sorted row per separation;
+    each row has the bits of the scalar call. Valid deep in the strong-drive
+    regime; emits WeakDriveWarning, once per separation in order, when
+    Omega_MW is less than ten times the bare exchange energy
+    C0 d1^2/(q^2 R0^3), d1 = drive.d1. Raises DomainError at the first
+    separation that is not > 0, NaN included; inf is the non-interacting
+    limit.
     """
-    if r0 <= 0.0:
-        raise DomainError("separation must be positive")
-    g = exchange_coupling(drive.d1, r0)
-    bare_exchange = 2.0 * g
-    if drive.d1 != 0.0 and drive.omega_mw_rabi < 10.0 * bare_exchange:
-        warnings.warn(
-            f"Omega_MW / exchange = {drive.omega_mw_rabi / bare_exchange:.2f} < 10 "
-            f"at R0 = {r0} um; dressed branches are no longer well separated",
-            WeakDriveWarning,
-            stacklevel=2,
-        )
+    r0 = np.asarray(r0, dtype=float)
+    exchange = []
+    for r in r0.ravel().tolist():
+        if not r > 0.0:  # NaN fails too
+            raise DomainError("separation must be positive")
+        # on Python floats: numpy's array ** can differ from scalar pow in the last bit
+        g = exchange_coupling(drive.d1, r)
+        bare_exchange = 2.0 * g
+        if drive.d1 != 0.0 and drive.omega_mw_rabi < 10.0 * bare_exchange:
+            warnings.warn(
+                f"Omega_MW / exchange = {drive.omega_mw_rabi / bare_exchange:.2f} < 10 "
+                f"at R0 = {r} um; dressed branches are no longer well separated",
+                WeakDriveWarning,
+                stacklevel=2,
+            )
+        exchange.append(g)
     # h1 (x) 1 + 1 (x) h1 with h1 = [[Delta_P, Omega/2], [Omega/2, Delta_S]], plus
     # the exchange, entry by entry as the two Kronecker products sum them
     dp, ds, half = drive.delta_p, drive.delta_s, 0.5 * drive.omega_mw_rabi
-    h = np.array([[dp + dp, half, half, 0.0],
-                  [half, dp + ds, g, half],
-                  [half, g, ds + dp, half],
-                  [0.0, half, half, ds + ds]])
-    return np.sort(np.linalg.eigvalsh(h))
+    h = np.empty((len(exchange), 4, 4))
+    h[:] = [[dp + dp, half, half, 0.0],
+            [half, dp + ds, 0.0, half],
+            [half, 0.0, ds + dp, half],
+            [0.0, half, half, ds + ds]]
+    h[:, 1, 2] = h[:, 2, 1] = exchange
+    # eigvalsh diagonalizes a stack one matrix at a time, so each row keeps its bits
+    eigs = np.linalg.eigvalsh(h.reshape(r0.shape + (4, 4)))
+    eigs.sort()
+    return eigs
 
 
 def lower_branch_shift(drive: MWDrive, r0: float = 5.0) -> float:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -66,6 +68,14 @@ class TestLoadConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("[pulse]\nomega_mhz = 0.5\n")
         with pytest.raises(ValidationError, match="omega_mhz"):
+            load_config(path)
+
+    def test_unknown_key_named_before_default_section_keys(self, tmp_path):
+        # a [DEFAULT] key reaches every section, after the section's own keys
+        path = tmp_path / "bad.cfg"
+        path.write_text("[DEFAULT]\nzzz = 1\n\n[interactions]\nr_min_um = 2.5\nbogus = 3\n")
+        with pytest.raises(ValidationError,
+                           match=r"^unknown key 'bogus' in section \[interactions\]$"):
             load_config(path)
 
     def test_rtol_below_stepper_floor_rejected(self, tmp_path):
@@ -201,6 +211,38 @@ class TestLoadConfig:
             expected = from_secular(omega_z, 4.0 * omega_z, 30.0 * omega_z, CA40_MASS).beta
             beta = cfg.trap.trap_config().beta
             assert np.float64(beta).view(np.uint64) == np.float64(expected).view(np.uint64)
+
+
+def reference_csv_text(header, rows):
+    """The CLI's former table writer, kept as the reference: csv.writer, numbers through fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell if isinstance(cell, str) else cli.fmt(cell) for cell in row])
+    return buf.getvalue()
+
+
+# signed zeros, infinities, NaN, the smallest subnormal, far exponents, values
+# that 12 significant digits round, Python and numpy integers and numpy scalars
+CSV_NUMBERS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300,
+               1e-300, -1e-300, 0.1 + 0.2, 1 / 3, 123456789012.5, 9.9999999999995, 1e16,
+               1e-5, 1e-4, 7, -3, 2**53 + 1, np.int64(-12), np.int32(5), np.uint8(200),
+               np.float64(-0.0), np.float64(2.5e-7), np.float64(math.nan), np.float32(0.1)]
+
+
+@pytest.mark.parametrize("n_text", [0, 1, 2])  # gate --trace and evolve, fc, modes
+def test_csv_text_equals_the_csv_writer(n_text):
+    rng = np.random.default_rng(n_text)
+    numbers = CSV_NUMBERS + list(rng.normal(size=16) * 10.0 ** rng.integers(-30, 30, 16))
+    rows = [numbers[i:i + 4] for i in range(0, len(numbers), 4)]
+    text = [[f"k={i}.{i % 3}" for i in range(len(rows))],
+            ["ground" if i % 2 else "p_state" for i in range(len(rows))],
+            ["XYZ"[i % 3] for i in range(len(rows))]][:n_text]
+    header = ["bra", "config", "axis"][:n_text] + ["a", "b", "c", "d"]
+    expected = reference_csv_text(header, [[*cells, *row] for *cells, row in zip(*text, rows)])
+    assert cli._csv_text(header, rows, text) == expected
+    assert cli._csv_text(header, np.array(rows, dtype=float), text) == expected
 
 
 @pytest.mark.filterwarnings("ignore::rydgate.errors.TruncationWarning")

@@ -58,7 +58,7 @@ class TestVdw:
             vdw_shift(TWO_PI * 300.0, 0.0)
 
 
-@pytest.mark.parametrize("r0", [0.0, -1.0])
+@pytest.mark.parametrize("r0", [0.0, -1.0, float("nan")])
 @pytest.mark.parametrize("shift", [
     lambda r0: vdw_shift(TWO_PI * 300.0, r0),
     lambda r0: dd_shift(TWO_PI * 309.0, r0),
@@ -153,25 +153,38 @@ class TestPairPotentialFull:
     def test_eigenvalues_equal_the_kronecker_sum_bit_for_bit(self, seed):
         # the matrix is filled entry by entry, as the two Kronecker products
         # sum it: negative detunings, Omega_MW = 0, d1 = 0 and separations
-        # inside the weak-drive range keep the bits of the np.kron form
+        # inside the weak-drive range keep the bits of the np.kron form. A
+        # sweep over an array of separations gives, row by row, the bits and
+        # the warnings of the call at each separation
         rng = np.random.default_rng(seed)
-        cases = []
-        for _ in range(300):
+        drives = []
+        for _ in range(100):
             omega = TWO_PI * rng.uniform(0.0, 800.0)
             delta_s, delta_p = TWO_PI * rng.uniform(-500.0, 500.0, 2)
             d1 = rng.uniform(0.0, 3.0) * D1_DEFAULT
-            r0 = rng.uniform(0.5, 12.0)
-            cases += [(MWDrive(omega, delta_s, delta_p, d1), r0),
-                      (MWDrive(0.0, delta_s, delta_p, d1), r0),
-                      (MWDrive(omega, delta_s, delta_p, 0.0), r0)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", WeakDriveWarning)
-            for drive, r0 in cases:
+            drives += [MWDrive(omega, delta_s, delta_p, d1),
+                       MWDrive(0.0, delta_s, delta_p, d1),
+                       MWDrive(omega, delta_s, delta_p, 0.0)]
+        n_warned = 0
+        for drive in drives:
+            r0s = rng.uniform(0.5, 12.0, 3)
+            with warnings.catch_warnings(record=True) as per_point:
+                warnings.simplefilter("always", WeakDriveWarning)
+                rows = [pair_potential_full(drive, r0=r0) for r0 in r0s]
+            with warnings.catch_warnings(record=True) as swept:
+                warnings.simplefilter("always", WeakDriveWarning)
+                sweep = pair_potential_full(drive, r0=r0s)
+            assert ([(w.category, str(w.message)) for w in swept]
+                    == [(w.category, str(w.message)) for w in per_point])
+            n_warned += len(swept)
+            assert sweep.shape == (len(r0s), 4)
+            for r0, eigs, row in zip(r0s, rows, sweep):
                 reference = np.sort(np.linalg.eigvalsh(kron_pair_hamiltonian(drive, r0)))
-                eigs = pair_potential_full(drive, r0=r0)
+                assert eigs.shape == (4,)
                 assert np.array_equal(eigs.view(np.uint64), reference.view(np.uint64))
-        assert len(caught) >= 100
-        assert min(delta for drive, _ in cases for delta in (drive.delta_s, drive.delta_p)) < 0
+                assert np.array_equal(row.view(np.uint64), eigs.view(np.uint64))
+        assert n_warned >= 100
+        assert min(delta for drive in drives for delta in (drive.delta_s, drive.delta_p)) < 0
 
     def test_weak_drive_warning_at_close_range(self):
         with pytest.warns(WeakDriveWarning):
