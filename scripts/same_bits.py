@@ -19,7 +19,9 @@ designs, the first 100 of them scaled in time and energy by 2 and 1/2, and
 dd_coefficients, pair_potential_full and lower_branch_shift; aligned and
 rotated fc_matrix, with the row norm each TruncationWarning reports (some
 cases within 1e-3 of its threshold); entangling_phase_dynamic at small n;
-and every CLI subcommand on configs/*.cfg. --small runs a slice of it. Bits depend on numpy, libm and the CPU, so the check compares
+every CLI subcommand on configs/*.cfg; and load_config on fixed texts in
+the plain INI form and in the other forms configparser reads, with and
+without overrides. --small runs a slice of it. Bits depend on numpy, libm and the CPU, so the check compares
 two trees on one machine; it is not a golden file.
 """
 
@@ -222,6 +224,48 @@ def _dynamics_outputs(out, cases):
                                                          phases[label].steps])
 
 
+# config texts in the plain INI form and in the other forms configparser reads
+CONFIG_TEXTS = {
+    "plain": "# c\n[pulse]\ntau_us = 55\nOmega0_MHz=0.45\n\n[simulation]\nblockade_mhz = 3.1\n",
+    "empty_value": "[output]\npath =\n[interactions]\nr_min_um = 3\npoints = 40\n",
+    "default_section": "[DEFAULT]\ntau_us = 50\n\n[pulse]\nomega0_mhz = 0.4\n",
+    "inline_comment": "[pulse]\ntau_us = 55 ; us\ndelta0_mhz = 0.6 # MHz\n",
+    "round_by_round_comment": "[pulse]\ntau_us = 55#x #y ;z\n",
+    "colon_delimiter": "[pulse]\ntau_us: 55\nomega0_mhz : 0.45\n",
+    "continuation": "[interactions]\npoints = 40\n  50\n",
+    "duplicate_section": "[pulse]\ntau_us = 55\n[pulse]\nomega0_mhz = 0.4\n",
+    "duplicate_key": "[pulse]\ntau_us = 55\nTAU_US = 56\n",
+    "missing_header": "tau_us = 55\n[pulse]\n",
+    "percent": "[pulse]\ntau_us = 60%\n",
+    "unknown_section": "[pulse]\ntau_us = 55\n[nonsense]\nx = 1\n",
+    "out_of_range": "[simulation]\nblockade_mhz = 60\n[interactions]\npoints = 1\n",
+    "range_order": "[simulation]\nn_output = 1\nblockade_mhz = 60\n",
+}
+CONFIG_FLAGS = {"pulse.tau_us": "58.5", "simulation.blockade_mhz": "2.7",
+                "interactions.points": "7"}
+
+
+def _config_outputs(out):
+    """load_config on each fixed text, with and without CONFIG_FLAGS: the RunConfig or the error."""
+    from rydgate.config import load_config
+    from rydgate.errors import RydgateError
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # error texts name the file by its relative path, the same on both sides
+        try:
+            for name, text in CONFIG_TEXTS.items():
+                Path(f"{name}.cfg").write_bytes(text.encode("utf-8"))
+                for label, flags in (("file", None), ("flags", CONFIG_FLAGS)):
+                    try:
+                        got = repr(load_config(f"{name}.cfg", flags))
+                    except RydgateError as exc:
+                        got = _error(exc)
+                    out[f"config.{name}.{label}"] = np.array(got)
+        finally:
+            os.chdir(cwd)
+
+
 def _cli_outputs(out, commands):
     """Exit code and the bytes of every file of each CLI invocation on configs/*.cfg."""
     from rydgate import cli
@@ -289,6 +333,7 @@ def suite(small=False):
             commands += [["gate", "--optimize", "--trace"], ["modes"], ["fc", "--n-max", "6"],
                          ["fc", "--axis", "Y"], ["interactions"], ["evolve"]]
         _cli_outputs(out, commands)
+        _config_outputs(out)
     return out
 
 

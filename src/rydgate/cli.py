@@ -7,7 +7,8 @@ dest names the key ("pulse.tau_us") and load_config parses and range-checks
 it like the file's own value; "--delta0-mhz -1e-1" reads as
 "--delta0-mhz=-1e-1". Output is deterministic: floats are serialized with 12
 significant digits, CSV rows carry a header, JSON is emitted with sorted
-keys. Exit codes: 0 success, 2 validation/parse errors, 3 numerical failures.
+keys. Exit codes: 0 success, 2 validation/parse errors and unwritable output
+files, 3 numerical failures.
 """
 
 import argparse
@@ -46,10 +47,21 @@ def _json_ready(obj):
     return obj
 
 
+class _OutputError(Exception):
+    """An output file could not be written (exit code 2)."""
+
+
+def _write(path: str, text: str, newline=None):
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _emit(text: str, path: str):
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write(path, text, newline="")
     else:
         sys.stdout.write(text)
 
@@ -184,8 +196,7 @@ def _cmd_evolve(cfg: RunConfig, args) -> str:
     }
     summary_text = _json_text(summary)
     if cfg.output.path:
-        with open(cfg.output.path + ".summary.json", "w", encoding="utf-8") as handle:
-            handle.write(summary_text)
+        _write(cfg.output.path + ".summary.json", summary_text)
     else:
         sys.stderr.write(summary_text)
     return csv_text
@@ -301,7 +312,7 @@ def main(argv=None) -> int:
         cfg = load_config(config_path, overrides)
         _emit(_COMMANDS[args.command](cfg, args), cfg.output.path)
         return 0
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RydgateError as exc:  # every other package error is a numerical failure

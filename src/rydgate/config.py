@@ -5,6 +5,11 @@ One INI-style file with sections [trap], [dressing], [interactions],
 lengths in um. Unknown sections or keys are rejected; every default is a
 documented physical operating point (see README). An empty or absent file
 yields the all-defaults configuration.
+
+A file in the plain INI form of configs/*.cfg is read in one pass over its
+lines; any other form (":" delimiters, inline comments, continuation lines,
+[DEFAULT]) goes through configparser. One builder checks and converts what
+either read, so a file reads the same either way.
 """
 
 import configparser
@@ -186,6 +191,92 @@ def _check_range(section: str, key: str, value):
         raise ValidationError(f"[{section}] {key} {rule[1]}, got {value}")
 
 
+def _plain_sections(text: str, overrides: dict):
+    """{section: {key: value}} of text in the plain INI form, overrides merged in; else None.
+
+    Plain: each line (split on "\n" only, as configparser iterates lines) is
+    blank, a full-line comment, an unindented "[name]" header, name new and
+    not DEFAULT, or an unindented "key = value" line under a header, key new
+    and free of ":"; no header or key line holds "#" or ";". configparser's
+    inline comments, continuation lines, [DEFAULT] keys and ":" delimiters
+    cannot act there, so this scan reads what it would. An override of
+    DEFAULT or of value None also gives None.
+    """
+    sections, current = {}, None
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace() or "#" in line or ";" in line:
+            return None
+        if stripped[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name or name == "DEFAULT" or name in sections:
+                return None
+            current = sections[name] = {}
+            continue
+        key, eq, value = stripped.partition("=")
+        key = key.rstrip().lower()
+        if current is None or not eq or not key or ":" in key or key in current:
+            return None
+        current[key] = value.strip()
+    for dotted, raw in overrides.items():  # as ConfigParser.read_dict merges them
+        section, key = dotted.split(".")
+        if section == "DEFAULT" or raw is None:
+            return None
+        sections.setdefault(section, {})[key.lower()] = str(raw)
+    return sections
+
+
+def _configparser_sections(path, text, source, overrides: dict) -> dict:
+    """{section: {key: value}} of any INI text configparser reads, with its overrides."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    if text is not None:
+        try:
+            parser.read_string(text, source)
+        except configparser.Error as exc:
+            raise ParseError(f"malformed config file {path}: {exc}") from exc
+    for dotted, raw in overrides.items():
+        section, key = dotted.split(".")
+        parser.read_dict({section: {key: raw}})
+    sections = {}
+    for name in parser.sections():
+        values = dict(parser.items(name, raw=True))
+        # in the section's own key order, then [DEFAULT]'s, as a SectionProxy lists them
+        sections[name] = {key: values[key] for key in parser.options(name)}
+    return sections
+
+
+def _build(sections: dict) -> RunConfig:
+    """The RunConfig of {section: {key: raw value}}, checked in a fixed order.
+
+    Unknown sections, then section by section unknown keys, conversions and
+    the range rules of the given keys; the defaults are constants that pass
+    their rules (tests/test_config_reader.py), so they are not checked again.
+    """
+    for section in sections:
+        if section not in _SECTIONS:
+            raise ValidationError(f"unknown config section [{section}]")
+    kwargs = {}
+    for name, (cls, known) in _SECTIONS.items():
+        given = sections.get(name)
+        if not given:
+            continue
+        for key in given:
+            if key not in known:
+                raise ValidationError(f"unknown key '{key}' in section [{name}]")
+        values = {key: _convert(name, known[key], raw) for key, raw in given.items()}
+        for key in known:
+            if key in values:
+                _check_range(name, key, values[key])
+        kwargs[name] = cls(**values)
+    cfg = RunConfig(**kwargs)
+    if cfg.interactions.r_min_um >= cfg.interactions.r_max_um:
+        raise ValidationError("[interactions] r_min_um must be < r_max_um")
+    return cfg
+
+
 def load_config(path=None, overrides=None) -> RunConfig:
     """Parse and validate a config file; None yields the all-defaults config.
 
@@ -193,38 +284,15 @@ def load_config(path=None, overrides=None) -> RunConfig:
     is written into the parsed file before anything is converted, so a
     flag obeys exactly the rules of the key it names.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
+    text = source = None
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                parser.read_file(handle)
-        except OSError as exc:
+                text, source = handle.read(), handle.name
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read config file {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ParseError(f"malformed config file {path}: {exc}") from exc
-    for dotted, raw in (overrides or {}).items():
-        section, key = dotted.split(".")
-        parser.read_dict({section: {key: raw}})
-
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ValidationError(f"unknown config section [{section}]")
-    kwargs = {}
-    for name, (cls, known) in _SECTIONS.items():
-        given = {}
-        if parser.has_section(name):
-            values = dict(parser.items(name, raw=True))
-            # in the section's own key order, then [DEFAULT]'s, as a SectionProxy lists them
-            given = {key: values[key] for key in parser.options(name)}
-        for key in given:
-            if key not in known:
-                raise ValidationError(f"unknown key '{key}' in section [{name}]")
-        section = cls(**{key: _convert(name, known[key], raw) for key, raw in given.items()})
-        for key in known:
-            _check_range(name, key, getattr(section, key))
-        kwargs[name] = section
-    cfg = RunConfig(**kwargs)
-    if cfg.interactions.r_min_um >= cfg.interactions.r_max_um:
-        raise ValidationError("[interactions] r_min_um must be < r_max_um")
-    return cfg
+    overrides = overrides or {}
+    sections = _plain_sections(text or "", overrides)
+    if sections is None:
+        sections = _configparser_sections(path, text, source, overrides)
+    return _build(sections)

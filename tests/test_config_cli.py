@@ -117,9 +117,11 @@ class TestLoadConfig:
 
     def test_malformed_ini_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("tau_us = 60\n")  # key outside any section
-        with pytest.raises(ParseError):
-            load_config(path)
+        for content, match in ((b"tau_us = 60\n", "malformed"),  # key outside any section
+                               (b"\xff\xfe[pulse]\n", "cannot read .*'utf-8' codec")):  # not UTF-8
+            path.write_bytes(content)
+            with pytest.raises(ParseError, match=match):
+                load_config(path)
 
     def test_output_format_key_is_gone(self, tmp_path):
         # nothing read it; each subcommand's output type is fixed
@@ -400,6 +402,17 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out.encode() == out.read_bytes()
         assert captured.err.encode() == (tmp_path / "evolve.csv.summary.json").read_bytes()
+
+    @pytest.mark.parametrize("command, written", [
+        (["dress"], "x.json"),
+        (["evolve", "--config", GATE_DYNAMICS_CFG], "x.json.summary.json")])
+    def test_unwritable_output_exit_code(self, command, written, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main([*command, "--output", str(missing / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {missing / written}: ")
+        assert "Traceback" not in err
+        assert not missing.exists()
 
     @pytest.mark.parametrize("option", ["--config", "--output"])
     def test_option_before_subcommand_rejected(self, tmp_path, option, capsys):

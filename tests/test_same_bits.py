@@ -38,5 +38,5 @@ def test_small_suite_repeats_in_process_and_in_a_fresh_one(tmp_path):
             ("equal", "identical"))]
     # the slice reaches every part of the suite, a root and a case without one
     assert {name.split(".")[0] for name in first} == {
-        "tasks", "designs", "scaling", "corners", "drives", "fc", "dynamics", "cli"}
+        "tasks", "designs", "scaling", "corners", "drives", "fc", "dynamics", "cli", "config"}
     assert {"root", "NoRoot"} <= {o.split(":")[0] for o in first["designs.outcome"]}
