@@ -7,8 +7,10 @@ dest names the key ("pulse.tau_us") and load_config parses and range-checks
 it like the file's own value; "--delta0-mhz -1e-1" reads as
 "--delta0-mhz=-1e-1". Output is deterministic: floats are serialized with 12
 significant digits, CSV rows carry a header, JSON is emitted with sorted
-keys. Exit codes: 0 success, 2 validation/parse errors and unwritable output
-files, 3 numerical failures.
+keys. Each subcommand returns its outputs as (suffix, text) pairs, and main
+writes them once the subcommand has returned, the main file first. Exit
+codes: 0 success, 2 validation/parse errors and unwritable output files, 3
+numerical failures.
 """
 
 import argparse
@@ -38,12 +40,10 @@ def fmt(x) -> str:
 def _json_ready(obj):
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
         return float(fmt(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
     return obj
 
 
@@ -51,19 +51,17 @@ class _OutputError(Exception):
     """An output file could not be written (exit code 2)."""
 
 
-def _write(path: str, text: str, newline=None):
-    try:
-        with open(path, "w", encoding="utf-8", newline=newline) as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _OutputError(f"cannot write output file {path}: {exc}") from exc
-
-
-def _emit(text: str, path: str):
-    if path:
-        _write(path, text, newline="")
-    else:
-        sys.stdout.write(text)
+def _emit(outputs, path: str):
+    """Write (suffix, text) pairs in order: to path + suffix, else stdout then stderr."""
+    for i, (suffix, text) in enumerate(outputs):
+        if not path:
+            (sys.stderr if i else sys.stdout).write(text)
+            continue
+        try:
+            with open(path + suffix, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _OutputError(f"cannot write output file {path + suffix}: {exc}") from exc
 
 
 def _csv_text(header, block, text=()) -> str:
@@ -87,7 +85,7 @@ def _json_text(obj) -> str:
     return json.dumps(_json_ready(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_modes(cfg: RunConfig, args) -> str:
+def _cmd_modes(cfg: RunConfig, args) -> list:
     trap_cfg = cfg.trap.trap_config()
     geom = equilibrium_geometry(trap_cfg)
     labels, axes, rows = [], [], []
@@ -104,11 +102,11 @@ def _cmd_modes(cfg: RunConfig, args) -> str:
                     basis.eigenvectors[0, j],
                     basis.eigenvectors[1, j],
                 ])
-    return _csv_text(["config", "axis", "mode", "freq_mhz", "v_ion1", "v_ion2"], rows,
-                     (labels, axes))
+    return [("", _csv_text(["config", "axis", "mode", "freq_mhz", "v_ion1", "v_ion2"], rows,
+                           (labels, axes)))]
 
 
-def _cmd_fc(cfg: RunConfig, args) -> str:
+def _cmd_fc(cfg: RunConfig, args) -> list:
     trap_cfg = cfg.trap.trap_config()
     geom = equilibrium_geometry(trap_cfg)
     ground = modes.diagonalize(modes.build_hessian(args.axis, trap_cfg, geom))
@@ -116,19 +114,19 @@ def _cmd_fc(cfg: RunConfig, args) -> str:
     excited = modes.diagonalize(modes.build_hessian(args.axis, trap_cfg, geom, pol))
     fc = franck_condon.fc_matrix(ground, excited, n_max=args.n_max)
     labels = [f"{m1}.{m2}" for m1, m2 in fc.labels]
-    return _csv_text(["bra"] + [f"j={lbl}" for lbl in labels], fc.entries,
-                     ([f"k={lbl}" for lbl in labels],))
+    return [("", _csv_text(["bra"] + [f"j={lbl}" for lbl in labels], fc.entries,
+                           ([f"k={lbl}" for lbl in labels],)))]
 
 
-def _cmd_dress(cfg: RunConfig, args) -> str:
+def _cmd_dress(cfg: RunConfig, args) -> list:
     pair = dress(cfg.dressing.mw_drive(), cfg.dressing.pol_p, cfg.dressing.pol_s)
     payload = asdict(pair)
     payload["e_plus_mhz"] = to_mhz(pair.e_plus)
     payload["e_minus_mhz"] = to_mhz(pair.e_minus)
-    return _json_text(payload)
+    return [("", _json_text(payload))]
 
 
-def _cmd_interactions(cfg: RunConfig, args) -> str:
+def _cmd_interactions(cfg: RunConfig, args) -> list:
     drive = cfg.dressing.mw_drive()
     pair = dress(drive, cfg.dressing.pol_p, cfg.dressing.pol_s)
     model = interactions.dd_coefficients(pair, drive.d1)
@@ -144,10 +142,10 @@ def _cmd_interactions(cfg: RunConfig, args) -> str:
               "full_branch_1_mhz", "full_branch_2_mhz",
               "full_branch_3_mhz", "full_branch_4_mhz"]
     shifts = to_mhz(np.column_stack([vdw, dd, eigs]))
-    return _csv_text(header, np.column_stack([r0s, shifts]))
+    return [("", _csv_text(header, np.column_stack([r0s, shifts])))]
 
 
-def _cmd_gate(cfg: RunConfig, args) -> str:
+def _cmd_gate(cfg: RunConfig, args) -> list:
     pulse = cfg.pulse.pulse_shape()
     blockade = mhz(cfg.simulation.blockade_mhz)
     if args.optimize:
@@ -155,8 +153,8 @@ def _cmd_gate(cfg: RunConfig, args) -> str:
         pulse = gate.PulseShape(omega0=pulse.omega0, delta0=delta0, tau=pulse.tau)
     if args.trace:
         times, phi_dd, phi_de, phi_ent = gate.phase_trace(pulse, blockade)
-        return _csv_text(["t_us", "phi_DD", "phi_DE", "phi_ent"],
-                         np.column_stack([times, phi_dd, phi_de, phi_ent]))
+        return [("", _csv_text(["t_us", "phi_DD", "phi_DE", "phi_ent"],
+                               np.column_stack([times, phi_dd, phi_de, phi_ent])))]
     design = gate.entangling_phase(pulse, blockade)
     diag = np.diag(design.unitary)
     payload = {
@@ -171,10 +169,10 @@ def _cmd_gate(cfg: RunConfig, args) -> str:
         "unitary_diag_re": [z.real for z in diag],
         "unitary_diag_im": [z.imag for z in diag],
     }
-    return _json_text(payload)
+    return [("", _json_text(payload))]
 
 
-def _cmd_evolve(cfg: RunConfig, args) -> str:
+def _cmd_evolve(cfg: RunConfig, args) -> list:
     sim = cfg.sim_config()
     phases = dynamics.entangling_phase_dynamic(sim)
     trace = phases["trace_dd"]
@@ -194,12 +192,7 @@ def _cmd_evolve(cfg: RunConfig, args) -> str:
         "max_phonon_deviation": deviation,
         "norm_drift": float(np.max(np.abs(trace.norms - 1.0))),
     }
-    summary_text = _json_text(summary)
-    if cfg.output.path:
-        _write(cfg.output.path + ".summary.json", summary_text)
-    else:
-        sys.stderr.write(summary_text)
-    return csv_text
+    return [("", csv_text), (".summary.json", _json_text(summary))]
 
 
 _COMMANDS = {

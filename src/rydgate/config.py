@@ -191,7 +191,7 @@ def _check_range(section: str, key: str, value):
         raise ValidationError(f"[{section}] {key} {rule[1]}, got {value}")
 
 
-def _plain_sections(text: str, overrides: dict):
+def _plain_sections(text: str, overrides: list):
     """{section: {key: value}} of text in the plain INI form, overrides merged in; else None.
 
     Plain: each line (split on "\n" only, as configparser iterates lines) is
@@ -199,8 +199,9 @@ def _plain_sections(text: str, overrides: dict):
     not DEFAULT, or an unindented "key = value" line under a header, key new
     and free of ":"; no header or key line holds "#" or ";". configparser's
     inline comments, continuation lines, [DEFAULT] keys and ":" delimiters
-    cannot act there, so this scan reads what it would. An override of
-    DEFAULT or of value None also gives None.
+    cannot act there, so this scan reads what it would. overrides holds
+    load_config's checked (section, key, raw) triples; an override of
+    DEFAULT, which configparser merges into every section, also gives None.
     """
     sections, current = {}, None
     for line in text.split("\n"):
@@ -220,15 +221,14 @@ def _plain_sections(text: str, overrides: dict):
         if current is None or not eq or not key or ":" in key or key in current:
             return None
         current[key] = value.strip()
-    for dotted, raw in overrides.items():  # as ConfigParser.read_dict merges them
-        section, key = dotted.split(".")
-        if section == "DEFAULT" or raw is None:
+    for section, key, raw in overrides:  # as ConfigParser.read_dict merges them
+        if section == "DEFAULT":
             return None
         sections.setdefault(section, {})[key.lower()] = str(raw)
     return sections
 
 
-def _configparser_sections(path, text, source, overrides: dict) -> dict:
+def _configparser_sections(path, text, source, overrides: list) -> dict:
     """{section: {key: value}} of any INI text configparser reads, with its overrides."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
@@ -237,8 +237,7 @@ def _configparser_sections(path, text, source, overrides: dict) -> dict:
             parser.read_string(text, source)
         except configparser.Error as exc:
             raise ParseError(f"malformed config file {path}: {exc}") from exc
-    for dotted, raw in overrides.items():
-        section, key = dotted.split(".")
+    for section, key, raw in overrides:
         parser.read_dict({section: {key: raw}})
     sections = {}
     for name in parser.sections():
@@ -282,8 +281,15 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
     overrides maps "section.key" to a raw value string (the CLI's flags). It
     is written into the parsed file before anything is converted, so a
-    flag obeys exactly the rules of the key it names.
+    flag obeys exactly the rules of the key it names. A key without exactly
+    one "." or a value None raises ParseError, before the file is opened.
     """
+    triples = []
+    for dotted, raw in (overrides or {}).items():
+        parts = dotted.split(".")
+        if len(parts) != 2 or raw is None:
+            raise ParseError(f"override {dotted!r} = {raw!r}: want 'section.key' = value")
+        triples.append((*parts, raw))
     text = source = None
     if path is not None:
         try:
@@ -291,8 +297,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
                 text, source = handle.read(), handle.name
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read config file {path}: {exc}") from exc
-    overrides = overrides or {}
-    sections = _plain_sections(text or "", overrides)
+    sections = _plain_sections(text or "", triples)
     if sections is None:
-        sections = _configparser_sections(path, text, source, overrides)
+        sections = _configparser_sections(path, text, source, triples)
     return _build(sections)

@@ -107,12 +107,6 @@ def _overlap_tables(nu: np.ndarray, omega: np.ndarray, n_max: int) -> np.ndarray
     return k[:, 1:, 1:]
 
 
-def _overlap_table(nu: float, omega: float, n_max: int) -> np.ndarray:
-    """Table of <m_nu|n_omega> for m, n = 0..n_max (same-center oscillators)."""
-    return _overlap_tables(np.array([nu], dtype=float), np.array([omega], dtype=float),
-                           n_max)[0]
-
-
 def _two_mode_table(ground: PhononBasis, excited: PhononBasis, n_max: int) -> np.ndarray:
     """Flat matrix of <m1 m2|n1 n2> for rotated modes (the Duschinsky recursion)."""
     nu = excited.frequencies

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,19 @@ class TestLoadConfig:
             path.write_bytes(content)
             with pytest.raises(ParseError, match=match):
                 load_config(path)
+
+    @pytest.mark.parametrize("overrides", [{"pulse": "1"}, {"a.b.c": "1"},
+                                           {"pulse.tau_us": None}],
+                             ids=["no_dot", "two_dots", "no_value"])
+    def test_malformed_override_is_parse_error(self, overrides, tmp_path):
+        # refused before the file is opened: its own error comes second
+        (dotted, raw), = overrides.items()
+        match = re.escape(f"override {dotted!r} = {raw!r}: ")
+        malformed = tmp_path / "bad.cfg"
+        malformed.write_bytes(b"tau_us = 60\n")
+        for path in (None, GATE_DESIGN_CFG, malformed, tmp_path / "missing.cfg"):
+            with pytest.raises(ParseError, match=match):
+                load_config(path, overrides)
 
     def test_output_format_key_is_gone(self, tmp_path):
         # nothing read it; each subcommand's output type is fixed
@@ -405,7 +419,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("command, written", [
         (["dress"], "x.json"),
-        (["evolve", "--config", GATE_DYNAMICS_CFG], "x.json.summary.json")])
+        (["evolve", "--config", GATE_DYNAMICS_CFG], "x.json")])  # the CSV is written first
     def test_unwritable_output_exit_code(self, command, written, tmp_path, capsys):
         missing = tmp_path / "missing"
         assert main([*command, "--output", str(missing / "x.json")]) == 2
@@ -413,6 +427,31 @@ class TestCLI:
         assert err.startswith(f"error: cannot write output file {missing / written}: ")
         assert "Traceback" not in err
         assert not missing.exists()
+
+    def test_evolve_output_directory_writes_no_summary(self, tmp_path, capsys):
+        # the CSV's failed write ends the run before the summary is written
+        target = tmp_path / "adir"
+        target.mkdir()
+        assert main(["evolve", "--config", GATE_DYNAMICS_CFG, "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {target}: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+        assert list(target.iterdir()) == []
+
+    def test_evolve_command_returns_its_texts(self, tmp_path, capsys):
+        # the subcommand only computes; main writes its outputs, with their bytes
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--config", GATE_DYNAMICS_CFG, "--output", str(out)]) == 0
+        capsys.readouterr()
+        args = build_parser().parse_args(["evolve"])
+        outputs = cli._cmd_evolve(load_config(GATE_DYNAMICS_CFG), args)
+        assert capsys.readouterr() == ("", "")
+        assert [(suffix, text.encode()) for suffix, text in outputs] == [
+            ("", out.read_bytes()),
+            (".summary.json", (tmp_path / "evolve.csv.summary.json").read_bytes())]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "evolve.csv", "evolve.csv.summary.json"]
 
     @pytest.mark.parametrize("option", ["--config", "--output"])
     def test_option_before_subcommand_rejected(self, tmp_path, option, capsys):

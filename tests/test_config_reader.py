@@ -19,6 +19,9 @@ from rydgate.errors import ParseError, ValidationError
 
 def reference_load_config(path=None, overrides=None) -> RunConfig:
     """The former load_config: configparser on every text, every key range-checked."""
+    for dotted, raw in (overrides or {}).items():
+        if dotted.count(".") != 1 or raw is None:
+            raise ParseError(f"override {dotted!r} = {raw!r}: want 'section.key' = value")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     if path is not None:
@@ -158,11 +161,15 @@ def test_load_config_equals_configparser_reader(cfg_dir, text, flags):
     assert outcome(lambda: load_config(path, flags)) == outcome(
         lambda: reference_load_config(path, flags))
     # where the line scan reads the text, configparser reads the same
-    # sections, keys and values in the same order, errors or not to come
+    # sections, keys and values in the same order, errors or not to come;
+    # both take load_config's triples of the flags it accepts
     read = path.read_text(encoding="utf-8")
-    sections = outcome(lambda: _plain_sections(read, flags))
-    if isinstance(sections, dict):
-        assert ordered(sections) == ordered(_configparser_sections(path, read, str(path), flags))
+    triples = [(*dotted.split("."), raw) for dotted, raw in flags.items()]
+    if all(len(triple) == 3 and triple[2] is not None for triple in triples):
+        sections = outcome(lambda: _plain_sections(read, triples))
+        if isinstance(sections, dict):
+            assert ordered(sections) == ordered(
+                _configparser_sections(path, read, str(path), triples))
     assert outcome(lambda: load_config(None, flags)) == outcome(
         lambda: reference_load_config(None, flags))
 

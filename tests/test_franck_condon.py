@@ -21,6 +21,12 @@ from rydgate.errors import DomainError, TruncationWarning
 TWO_PI = 2 * np.pi
 
 
+def overlap_table(nu, omega, n_max):
+    """Table of <m_nu|n_omega> for m, n = 0..n_max (same-center oscillators)."""
+    return franck_condon._overlap_tables(np.array([nu], dtype=float),
+                                         np.array([omega], dtype=float), n_max)[0]
+
+
 def oscillator_eigenfunction(n, w, x):
     """Independent construction from scipy's physicists' Hermite polynomials."""
     norm = (w / np.pi) ** 0.25 / np.sqrt(2.0**n * factorial(n))
@@ -142,24 +148,24 @@ class TestOverlap1D:
     # the aligned path's 1D table <m_nu|n_omega>, m, n = 0..n_max
 
     def test_identical_frequencies_gives_kronecker(self):
-        table = franck_condon._overlap_table(2.3, 2.3, 4)
+        table = overlap_table(2.3, 2.3, 4)
         assert np.max(np.abs(table - np.eye(5))) <= 1e-14
 
     def test_ground_ground_closed_form(self):
         nu, omega = 3.1, 1.7
         expected = np.sqrt(2 * np.sqrt(nu * omega) / (nu + omega))
-        assert franck_condon._overlap_table(nu, omega, 0)[0, 0] == pytest.approx(
+        assert overlap_table(nu, omega, 0)[0, 0] == pytest.approx(
             expected, rel=1e-14)
         assert overlap_by_quadrature(nu, omega, 0, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_parity_selection_rule(self):
-        table = franck_condon._overlap_table(3.1, 1.7, 5)
+        table = overlap_table(3.1, 1.7, 5)
         assert table[0, 1] == 0.0
         assert table[2, 5] == 0.0
 
     def test_against_quadrature_oracle(self):
         nu, omega = 3.7, 1.3
-        table = franck_condon._overlap_table(nu, omega, 5)
+        table = overlap_table(nu, omega, 5)
         for m in range(6):
             for n in range(6):
                 assert table[m, n] == pytest.approx(
@@ -171,8 +177,8 @@ class TestOverlap1D:
            st.integers(min_value=0, max_value=9))
     def test_exchange_symmetry(self, nu, omega, n_max):
         # <m_nu|n_omega> = <n_omega|m_nu>: swapping the frequencies transposes
-        forward = franck_condon._overlap_table(nu, omega, n_max)
-        backward = franck_condon._overlap_table(omega, nu, n_max)
+        forward = overlap_table(nu, omega, n_max)
+        backward = overlap_table(omega, nu, n_max)
         assert np.max(np.abs(forward - backward.T)) <= 1e-12
 
     @settings(max_examples=200)
@@ -182,7 +188,7 @@ class TestOverlap1D:
     def test_row_recursion_equals_scalar_recursion(self, nu, omega, n_max):
         # same IEEE operations in the same order: equal values (== ignores
         # the sign of exact zeros)
-        table = franck_condon._overlap_table(nu, omega, n_max)
+        table = overlap_table(nu, omega, n_max)
         assert table.shape == (n_max + 1, n_max + 1)
         assert np.array_equal(table, overlap_table_reference(nu, omega, n_max))
 
@@ -197,7 +203,7 @@ class TestOverlap1D:
         stacked = franck_condon._overlap_tables(nu, omega, n_max)
         assert stacked.shape == (5, n_max + 1, n_max + 1)
         for j in range(5):
-            one = franck_condon._overlap_table(nu[j], omega[j], n_max)
+            one = overlap_table(nu[j], omega[j], n_max)
             assert stacked[j].tobytes() == one.tobytes()
             assert one.tobytes() == row_recursion_reference(nu[j], omega[j], n_max).tobytes()
         assert np.array_equal(stacked[4], np.eye(n_max + 1))
@@ -227,7 +233,7 @@ class TestMatrix:
         ground = bases((0.0, 0.0))
         excited = bases((-1e9, -1e9))  # symmetric shift keeps vectors aligned
         fc = fc_matrix(ground, excited, n_max=5)
-        t1, t2 = (franck_condon._overlap_table(nu, omega, 5)
+        t1, t2 = (overlap_table(nu, omega, 5)
                   for nu, omega in zip(excited.frequencies, ground.frequencies))
         for (k1, k2) in [(0, 0), (1, 1), (2, 0), (3, 2)]:
             for (j1, j2) in [(0, 0), (2, 0), (1, 1), (2, 2)]:
@@ -240,7 +246,7 @@ class TestMatrix:
         # on seeded aligned traps on X, Y and Z at every n_max from 0 to 20
         for ground, excited, n_max in seeded_aligned_cases(
                 25, [n for n in range(21) for _ in range(3)], (1e5, 3e9)):
-            t1, t2 = (franck_condon._overlap_table(nu, omega, n_max)
+            t1, t2 = (overlap_table(nu, omega, n_max)
                       for nu, omega in zip(excited.frequencies, ground.frequencies))
             entries = fc_matrix(ground, excited, n_max).entries
             assert entries.shape == ((n_max + 1) ** 2,) * 2
