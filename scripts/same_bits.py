@@ -18,14 +18,17 @@ designs, the first 100 of them scaled in time and energy by 2 and 1/2, and
 18 weak-drive corners (omega0 / delta0 <= 1e-9); dress,
 dd_coefficients, pair_potential_full and lower_branch_shift; aligned and
 rotated fc_matrix, with the row norm each TruncationWarning reports (some
-cases within 1e-3 of its threshold); entangling_phase_dynamic at small n;
-every CLI subcommand on configs/*.cfg; and load_config on fixed texts in
-the plain INI form and in the other forms configparser reads, with and
-without overrides. --small runs a slice of it. Bits depend on numpy, libm and the CPU, so the check compares
-two trees on one machine; it is not a golden file.
+cases within 1e-3 of its threshold); entangling_phase_dynamic, and evolve
+under a drive with two breakpoints, at n_phonon_max 1 to 6 on 201 output
+times and on more output times than steps; every CLI subcommand on
+configs/*.cfg; and load_config on fixed texts in the plain INI form and in
+the other forms configparser reads, with and without overrides. --small
+runs a slice of it. Bits depend on numpy, libm and the CPU, so the check
+compares two trees on one machine; it is not a golden file.
 """
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -206,14 +209,15 @@ def _fc_outputs(out, traps):
 
 
 def _dynamics_outputs(out, cases):
-    """entangling_phase_dynamic's phases, states, nfev and steps per (delta0 MHz, tau, eta, n)."""
+    """entangling_phase_dynamic's phases, states, nfev and steps per (delta0 MHz, tau, eta, n,
+    n_output), and evolve's under a drive with two breakpoints."""
     from rydgate import dynamics, gate
     from rydgate.constants import mhz
 
-    for i, (delta0_mhz, tau, eta, n) in enumerate(cases):
+    for i, (delta0_mhz, tau, eta, n, n_output) in enumerate(cases):
         cfg = dynamics.SimConfig(blockade=mhz(2.5), omega_z=mhz(1.0), eta=eta,
                                  pulse=gate.PulseShape(mhz(0.5), mhz(delta0_mhz), tau),
-                                 n_phonon_max=n)
+                                 n_phonon_max=n, n_output=n_output)
         phases = dynamics.entangling_phase_dynamic(cfg)
         key = f"dynamics.{i}.n{n}"
         out[f"{key}.phases"] = np.array([phases[k] for k in (
@@ -222,6 +226,15 @@ def _dynamics_outputs(out, cases):
             out[f"{key}.{label}.states"] = phases[label].states
             out[f"{key}.{label}.nfev_steps"] = np.array([phases[label].nfev,
                                                          phases[label].steps])
+
+        def drive(t):  # steps in Omega at 0.3 tau and 0.6 tau, a linear chirp in E
+            level = 0.3 if t < 0.3 * tau else (0.8 if t < 0.6 * tau else 0.5)
+            return mhz(level) * math.sin(math.pi * t / tau) ** 2, mhz(delta0_mhz) * (1 - t / tau)
+
+        drive.breakpoints = (0.3 * tau, 0.6 * tau)
+        trace = dynamics.evolve(cfg, drive=drive)
+        out[f"{key}.evolve_breakpoints.states"] = trace.states
+        out[f"{key}.evolve_breakpoints.nfev_steps"] = np.array([trace.nfev, trace.steps])
 
 
 # config texts in the plain INI form and in the other forms configparser reads
@@ -326,8 +339,11 @@ def suite(small=False):
                       for n_max in (0, 1, 8, 12, 20)
                       for pols, axis in (((-2e9, -2e9), "X"), ((0.0, -1e9), "Y"))]
         _fc_outputs(out, traps)
-        _dynamics_outputs(out, [(0.639, 2.0, 0.5, 1)] if small else
-                          [(0.639, 6.0, 0.5, 1), (0.9, 6.0, 0.0, 2), (0.7, 4.0, 0.3, 3)])
+        # the default 201 output times, and more output times than steps
+        _dynamics_outputs(out, [(0.639, 2.0, 0.5, 1, 201), (0.639, 6.0, 0.5, 1, 3000)] if small
+                          else [(0.639, 6.0, 0.5, 1, 201), (0.9, 6.0, 0.0, 2, 201),
+                                (0.7, 4.0, 0.3, 3, 201), (0.639, 40.0, 0.5, 6, 10_000),
+                                (0.8, 20.0, 0.0, 4, 5000)])
         commands = [["gate"], ["gate", "--optimize"], ["gate", "--trace"], ["dress"]]
         if not small:
             commands += [["gate", "--optimize", "--trace"], ["modes"], ["fc", "--n-max", "6"],

@@ -22,6 +22,17 @@ that take their output buffer positionally, with r.dot(y) for the zgemv
 that np.matmul(r, y) makes without its gufunc overhead. The stage loop
 makes no Python call of its own, and the time arithmetic stays in Python
 floats.
+
+The 7th-degree dense output is evaluated out of the step loop, for many
+steps at once. An accepted step that passes times of t_eval only copies
+its 13 stages, its two end states, t and h into a chunk of CHUNK rows.
+When the chunk is full, and at the end of the call, _dense_output
+computes the three interpolation stages, the interpolant's coefficients
+and the Horner sums at every output time of the chunk in one pass.
+np.matmul there makes, row by row, the zgemv or zgemm the loop would make
+on a single step, and every elementwise product keeps its operand order,
+so the bits stay SciPy's. Only the drive's call order changes: it is
+evaluated at a chunk's interpolation stages after the chunk's last step.
 """
 
 import math
@@ -38,6 +49,10 @@ ERROR_EXPONENT = -1 / 8  # the error estimator is of order 7
 EPS = np.finfo(float).eps
 RTOL_FLOOR = 100 * EPS  # SciPy's smallest rtol; SimConfig and the config file reject less
 MAX_ATTEMPTS = 100_000  # step attempts per call before ToleranceFailure; gates take 600-4000
+# output steps whose dense output is evaluated together: a gate solve (n 4-8)
+# takes 7-9% less time than with the per-step dense output at 16-128, 7% at
+# 8, 4.5% at 4, and 8.5% more at 1 (one BLAS thread)
+CHUNK = 32
 
 _C = np.array([
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
@@ -155,6 +170,75 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
+def _dense_output(K, y_old, y, spans, drive_at, r, t_eval, out, first):
+    """Evaluate the dense output of J recorded steps at the times of t_eval they pass.
+
+    Row j of K (J, N_STAGES_EXTENDED, m), y_old and y (J, m) is one accepted
+    step: K[j, :N_STAGES + 1] its stages, f at its start first and f at its
+    end last, and y_old[j] and y[j] the states at its ends. spans[j] is
+    (t_old, h, stop): the step [t_old, t_old + h] passes t_eval[start:stop],
+    where start is the previous row's stop, and first for row 0.
+    drive_at(times, values_re, e_values, rows) is dop853's: it writes
+    (Omega, E) at the given times into the real parts values_re of a complex
+    array whose E column is e_values, and d0 + E d_det into rows. Writes
+    the interpolation stages into K[:, N_STAGES + 1:] and the states into
+    out[first:stop].
+
+    Each row repeats SciPy's per-step dense output operation for operation:
+    np.matmul makes one zgemv per row for the stage inputs and R y and one
+    zgemm per row for D K, the calls dop853's step loop makes on a single
+    row, and the elementwise products keep their operand order.
+    """
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    t_old, h, stop = (list(column) for column in zip(*spans))
+    n_rows = len(h)
+    h_col = np.array(h, dtype=complex)[:, None]
+    y_in, tmp = np.empty_like(y), np.empty_like(y)
+    # the drive at the three stages' times of every row, in one pass, with
+    # (Omega, E) held complex as in the step loop
+    times = [t + c * dt for c in _NODES[N_STAGES + 1:] for t, dt in zip(t_old, h)]
+    drv = np.zeros((len(times), 2), dtype=complex)
+    diags = np.empty((len(times), y.shape[1]), dtype=complex)
+    drive_at(times, drv.real, drv[:, 1:], diags)
+    omegas = drv[:, :1]
+    for i, s in enumerate(range(N_STAGES + 1, N_STAGES_EXTENDED)):
+        rows = slice(i * n_rows, (i + 1) * n_rows)
+        np.matmul(_STAGE_A[s], K[:, :s], out=y_in)
+        multiply(y_in, h_col, y_in)
+        add(y_old, y_in, y_in)
+        k = K[:, s]
+        np.matmul(r, y_in[:, :, None], out=k[:, :, None])
+        multiply(omegas[rows], k, k)
+        multiply(diags[rows], y_in, tmp)
+        add(tmp, k, k)
+
+    F = np.empty((n_rows, 3 + len(D), y.shape[1]), dtype=complex)  # interpolant coefficients
+    subtract(y, y_old, F[:, 0])
+    multiply(h_col, K[:, 0], F[:, 1])
+    subtract(F[:, 1], F[:, 0], F[:, 1])
+    add(K[:, N_STAGES], K[:, 0], tmp)
+    multiply(h_col, tmp, tmp)
+    multiply(2, F[:, 0], F[:, 2])
+    subtract(F[:, 2], tmp, F[:, 2])
+    np.matmul(_D, K, out=F[:, 3:])
+    multiply(h_col[:, :, None], F[:, 3:], F[:, 3:])
+
+    # Horner's rule in x and 1 - x, one row per output time
+    t_old, h, row = np.array(t_old), np.array(h), slice(None)
+    if stop[-1] - first > n_rows:  # some step passes several output times
+        # gathered one coefficient at a time, so the copies stay the size of dense
+        row = np.repeat(np.arange(n_rows), np.diff(stop, prepend=first))
+        t_old, h, y_old = t_old[row], h[row], y_old[row]
+    x = ((t_eval[first:stop[-1]] - t_old) / h)[:, None]
+    one_minus_x = 1 - x
+    dense = out[first:stop[-1]]
+    dense[...] = 0
+    for i in range(F.shape[1]):
+        dense += F[row, -1 - i]
+        dense *= one_minus_x if i % 2 else x
+    dense += y_old
+
+
 def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     """Integrate y' = (d0 + E d_det) * y + Omega (r @ y) from t0 to t1 > t0; sample y on t_eval.
 
@@ -162,9 +246,10 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     (n, n) array, and drive(t) -> (Omega, E) returns two real numbers and is
     evaluated at stage times clamped to [t0, drive_end], drive_end <= t1.
     t_eval is increasing inside [t0, t1]. rtol is raised to RTOL_FLOOR, with
-    a warning, when it is below. Each accepted step that passes times of
-    t_eval evaluates its dense output there, so a state at t1 is
-    interpolated too. Returns (states (len(t_eval), n), a new array; the
+    a warning, when it is below. The states at t_eval come from the dense
+    output of the accepted steps that pass them, so a state at t1 is
+    interpolated too; it is evaluated CHUNK steps at a time, so drive must
+    depend on t alone. Returns (states (len(t_eval), n), a new array; the
     number of right-hand-side evaluations; accepted steps). y0 is not
     written. Raises ToleranceFailure when the step size falls below 10 ulp
     of t or after MAX_ATTEMPTS step attempts.
@@ -174,14 +259,14 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
         rtol = RTOL_FLOOR
     multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
     m = y0.size
-    K_ext = np.empty((N_STAGES_EXTENDED, m), dtype=complex)  # stage derivatives
+    K_ext = np.empty((N_STAGES + 1, m), dtype=complex)  # stage derivatives of an attempt
     f = K_ext[0]  # f at the step's start, which is stage 0 of each attempt
-    diag = np.empty((N_STAGES_EXTENDED, m), dtype=complex)  # d0 + E d_det of each stage
+    diag = np.empty((N_STAGES + 1, m), dtype=complex)  # d0 + E d_det of each stage
     # (Omega, E) of each stage slot, held complex: numpy casts a real operand
     # to exactly these values, so the products keep their bits, and the 0-d
     # views skip that per-call conversion. The drive writes the real parts
     # through a float view; the imaginary parts stay zero.
-    drv = np.zeros((N_STAGES_EXTENDED, 2), dtype=complex)
+    drv = np.zeros((N_STAGES + 1, 2), dtype=complex)
     drv_re, e_col = drv.real, drv[:, 1:]
     h_c = np.empty((), dtype=complex)  # the step size, held complex likewise
     tmp = np.empty(m, dtype=complex)
@@ -189,21 +274,23 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     # stage s: the product K[:s].T @ a_s, row a_s of the tableau, its Omega,
     # its diagonal and its derivative K[s]
     plan = [(K_ext[:s].T.dot, _STAGE_A[s], drv[s, 0, ...], diag[s], K_ext[s])
-            for s in range(N_STAGES_EXTENDED)]
+            for s in range(N_STAGES + 1)]
 
-    def drive_at(first, times):
-        """Drive at the given times into the stage slots first, first + 1, ..."""
-        stop = first + len(times)
+    def drive_at(times, values_re, e_values, rows):
+        """Drive at the given times into the real parts values_re and the diagonals rows.
+
+        e_values is the E column of the complex array whose real parts are values_re.
+        """
         # min/max are called only for a time outside [t0, drive_end]; inside, they return t
-        drv_re[first:stop] = [drive(u if t0 <= u <= drive_end else min(max(u, t0), drive_end))
-                              for u in times]
-        rows = diag[first:stop]
-        multiply(e_col[first:stop], d_det, rows)
+        values_re[...] = [drive(u if t0 <= u <= drive_end else min(max(u, t0), drive_end))
+                          for u in times]
+        multiply(e_values, d_det, rows)
         add(d0, rows, rows)
 
     def stages(first, stop, t, h, y, y_in):
         """Stages first..stop-1 of the step h from (t, y) into K_ext; y_in ends as the last input."""
-        drive_at(first, [t + c * h for c in _NODES[first:stop]])
+        drive_at([t + c * h for c in _NODES[first:stop]], drv_re[first:stop], e_col[first:stop],
+                 diag[first:stop])
         h_c[()] = h
         for k_dot, a, omega, diag_s, k in plan[first:stop]:
             k_dot(a, y_in)
@@ -226,7 +313,7 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     # the state rotates through three buffers: y, y_old, and y_new, which
     # holds stage inputs and, after the last stage of an attempt, the new state
     y, y_new, y_old = y0.copy(), np.empty(m, dtype=complex), np.empty(m, dtype=complex)
-    drive_at(0, [t0])
+    drive_at([t0], drv_re[:1], e_col[:1], diag[:1])
     rhs_start(y, f)
 
     # first step size from the local behaviour of the solution (Hairer et al., Sec. II.4)
@@ -236,7 +323,7 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
     d_1 = _rms(f / scale)
     h0 = 1e-6 if d_0 < 1e-5 or d_1 < 1e-5 else 0.01 * d_0 / d_1
     h0 = min(h0, interval_length)
-    drive_at(0, [t0 + h0])
+    drive_at([t0 + h0], drv_re[:1], e_col[:1], diag[:1])
     multiply(h0, f, y_new)
     add(y, y_new, y_new)
     f1 = K_ext[1]  # unused until the first attempt's stage 1
@@ -250,13 +337,23 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
 
     t_eval_list = t_eval.tolist()
     out = np.empty((len(t_eval), m), dtype=complex)
+    # the chunk: one row per accepted step that passes times of t_eval, its
+    # dense output evaluated when CHUNK rows are recorded and at the end
+    K_rows = np.empty((CHUNK, N_STAGES_EXTENDED, m), dtype=complex)
+    y_old_rows, y_rows = np.empty((CHUNK, m), dtype=complex), np.empty((CHUNK, m), dtype=complex)
+    spans, i_done = [], 0  # (t_old, h, stop) per row; outputs before i_done are written
+
+    def flush(first):
+        n = len(spans)
+        _dense_output(K_rows[:n], y_old_rows[:n], y_rows[:n], spans, drive_at, r, t_eval, out,
+                      first)
+        spans.clear()
+
     absolute, maximum, abs_y, abs_new = np.absolute, np.maximum, np.abs(y), np.empty(m)
     err5, err3 = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
     err5_re, err5_im, err3_re, err3_im = err5.real, err5.imag, err3.real, err3.imag
-    err_dot = K_ext[:N_STAGES + 1].T.dot
+    err_dot = K_ext.T.dot
     f_new = K_ext[N_STAGES]  # the last stage of an attempt is f at the step's end
-    F = np.empty((3 + len(D), m), dtype=complex)  # dense-output coefficients
-    F_reversed = F[::-1]
     nfev, steps, attempts, i_eval = 2, 0, 0, 0
     t = t0
     while t < t1:
@@ -317,27 +414,18 @@ def dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
         while i_new < len(t_eval_list) and t_eval_list[i_new] <= t:
             i_new += 1
         if i_new > i_eval:
-            # 7th-degree dense output of [t_old, t] at the passed times; f
-            # still holds f at t_old
-            stages(N_STAGES + 1, N_STAGES_EXTENDED, t_old, h, y_old, y_new)
+            # record the step for the chunk's dense output; f still holds f at t_old
+            n = len(spans)
+            K_rows[n, :N_STAGES + 1] = K_ext
+            y_old_rows[n] = y_old
+            y_rows[n] = y
+            spans.append((t_old, h, i_new))
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
-            subtract(y, y_old, F[0])
-            multiply(h_c, f, F[1])
-            subtract(F[1], F[0], F[1])
-            add(f_new, f, tmp)
-            multiply(h_c, tmp, tmp)
-            multiply(2, F[0], F[2])
-            subtract(F[2], tmp, F[2])
-            _D.dot(K_ext, F[3:])
-            multiply(h_c, F[3:], F[3:])
-            x = ((t_eval[i_eval:i_new] - t_old) / h)[:, None]
-            one_minus_x = 1 - x
-            dense = out[i_eval:i_new]
-            dense[...] = 0
-            for i, coeff in enumerate(F_reversed):
-                dense += coeff
-                dense *= one_minus_x if i % 2 else x
-            dense += y_old
             i_eval = i_new
+            if n + 1 == CHUNK:
+                flush(i_done)
+                i_done = i_eval
         f[:] = f_new
+    if spans:
+        flush(i_done)
     return out, nfev, steps

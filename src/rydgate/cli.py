@@ -8,12 +8,14 @@ it like the file's own value; "--delta0-mhz -1e-1" reads as
 "--delta0-mhz=-1e-1". Output is deterministic: floats are serialized with 12
 significant digits, CSV rows carry a header, JSON is emitted with sorted
 keys. Each subcommand returns its outputs as (suffix, text) pairs, and main
-writes them once the subcommand has returned, the main file first. Exit
+writes them once the subcommand has returned, the main file first; when
+one cannot be written, the ones already written are removed. Exit
 codes: 0 success, 2 validation/parse errors and unwritable output files, 3
 numerical failures.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -52,15 +54,24 @@ class _OutputError(Exception):
 
 
 def _emit(outputs, path: str):
-    """Write (suffix, text) pairs in order: to path + suffix, else stdout then stderr."""
+    """Write (suffix, text) pairs in order: to path + suffix, else stdout then stderr.
+
+    When a file cannot be written, the files this call opened are removed
+    before _OutputError is raised, so a failed run leaves none of its outputs.
+    """
+    opened = []
     for i, (suffix, text) in enumerate(outputs):
         if not path:
             (sys.stderr if i else sys.stdout).write(text)
             continue
         try:
             with open(path + suffix, "w", encoding="utf-8", newline="") as handle:
+                opened.append(path + suffix)
                 handle.write(text)
         except OSError as exc:
+            for name in opened:
+                with contextlib.suppress(OSError):
+                    os.remove(name)
             raise _OutputError(f"cannot write output file {path + suffix}: {exc}") from exc
 
 

@@ -439,6 +439,17 @@ class TestCLI:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
         assert list(target.iterdir()) == []
 
+    def test_evolve_unwritable_summary_removes_the_csv(self, tmp_path, capsys):
+        # the summary's failed write removes the CSV written before it
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.summary.json").mkdir()
+        assert main(["evolve", "--config", GATE_DYNAMICS_CFG, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {out}.summary.json: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv.summary.json"]
+        assert list((tmp_path / "x.csv.summary.json").iterdir()) == []
+
     def test_evolve_command_returns_its_texts(self, tmp_path, capsys):
         # the subcommand only computes; main writes its outputs, with their bytes
         out = tmp_path / "evolve.csv"

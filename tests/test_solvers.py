@@ -27,8 +27,8 @@ TWO_PI = 2 * np.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def scipy_dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
-    """dop853's contract met by solve_ivp; it does not report accepted steps.
+def scipy_solve(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end):
+    """solve_ivp on dop853's problem; with t_eval None, sol.t holds the accepted steps' ends.
 
     The right-hand side is the package's former closure, operation for
     operation, so bitwise equality with it shows that the linear stepper
@@ -40,6 +40,12 @@ def scipy_dop853(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval, drive_end)
 
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
     assert sol.success
+    return sol
+
+
+def scipy_dop853(*args):
+    """dop853's contract met by solve_ivp; it does not report accepted steps."""
+    sol = scipy_solve(*args)
     return sol.y.T, sol.nfev, 0
 
 
@@ -49,6 +55,14 @@ def scipy_dop853_with_steps(d0, d_det, r, drive, t0, t1, y0, rtol, atol, t_eval,
     states, nfev, _ = scipy_dop853(*args, t_eval, drive_end)
     step_states, _, _ = scipy_dop853(*args, None, drive_end)
     return states, nfev, len(step_states) - 1
+
+
+def assert_dop853_equals_scipy(args, t_eval, drive_end):
+    """dop853 on args gives the states, RHS count and accepted steps of solve_ivp, bit for bit."""
+    states, nfev, steps = dop853(*args, t_eval, drive_end)
+    ref, ref_nfev, ref_steps = scipy_dop853_with_steps(*args, t_eval, drive_end)
+    assert np.array_equal(states.view(np.uint64), np.ascontiguousarray(ref).view(np.uint64))
+    assert (nfev, steps) == (ref_nfev, ref_steps)
 
 
 def gate_config(**overrides):
@@ -136,6 +150,74 @@ class TestDop853:
         assert np.array_equal(ours.states.view(np.uint64), ref.states.view(np.uint64))
         assert (ours.nfev, ours.steps) == (ref.nfev, ref.steps)
         assert ours.steps > 0
+
+    @pytest.mark.parametrize("n_output, eta", [(2, 0.5), (201, 0.0), (201, 0.5), (5000, 0.0),
+                                               (5000, 0.5)])
+    def test_gate_solve_over_output_grids_equals_scipy(self, monkeypatch, n_output, eta):
+        # 432 steps at eta = 0.5: with 2 output times every step but the last
+        # passes none, with 201 a step passes none or one, with 5000 about 12
+        cfg = gate_config(eta=eta, n_output=n_output)
+        ours = entangling_phase_dynamic(cfg)
+        monkeypatch.setattr(dynamics, "dop853", scipy_dop853_with_steps)
+        ref = entangling_phase_dynamic(cfg)
+        for key in ("trace_dd", "trace_de"):
+            assert np.array_equal(ours[key].states.view(np.uint64), ref[key].states.view(np.uint64))
+            assert (ours[key].nfev, ours[key].steps) == (ref[key].nfev, ref[key].steps)
+        assert ours["trace_dd"].steps > _dop853.CHUNK
+
+    def test_piecewise_drive_over_many_output_times_equals_scipy(self, monkeypatch):
+        cfg = gate_config(n_phonon_max=2, eta=0.5, n_output=5000)
+
+        def drive(t):
+            level = 0.3 if t < 7.0 else (0.8 if t < 13.5 else 0.5)
+            return TWO_PI * level * math.sin(0.2 * t) ** 2, TWO_PI * (0.9 - 0.03 * t)
+
+        drive.breakpoints = (7.0, 13.5)
+        ours = evolve(cfg, drive=drive)
+        monkeypatch.setattr(dynamics, "dop853", scipy_dop853_with_steps)
+        ref = evolve(cfg, drive=drive)
+        assert np.array_equal(ours.states.view(np.uint64), ref.states.view(np.uint64))
+        assert (ours.nfev, ours.steps) == (ref.nfev, ref.steps)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_output_steps_around_the_chunk_size_equal_scipy(self, extra):
+        # the first CHUNK + extra steps pass one output time each, at their
+        # midpoints: a chunk one row short, one full chunk, and one row over
+        args = (*KICK_SYSTEM, kick_drive, 0.0, 10.0, np.array([1.0, 0.5j]), 1e-9, 1e-12)
+        ends = scipy_solve(*args, None, 10.0).t
+        k = _dop853.CHUNK + extra
+        assert len(ends) > k + 1
+        assert_dop853_equals_scipy(args, 0.5 * (ends[:k] + ends[1:k + 1]), 10.0)
+
+    def test_zero_one_and_many_output_times_per_step_equal_scipy(self):
+        # steps 5-40 pass one time each, across a chunk's end, steps 43-46
+        # seven each, and the others none
+        args = (*KICK_SYSTEM, kick_drive, 0.0, 10.0, np.array([1.0, 0.5j]), 1e-9, 1e-12)
+        ends = scipy_solve(*args, None, 10.0).t
+        assert len(ends) > 48 and 36 > _dop853.CHUNK
+        one = 0.5 * (ends[5:41] + ends[6:42])
+        many = np.concatenate([np.linspace(a, b, 9)[1:-1] for a, b in zip(ends[43:47], ends[44:48])])
+        assert_dop853_equals_scipy(args, np.concatenate([one, many]), 10.0)
+
+    def test_output_rows_do_not_alias_the_chunk_buffers(self, monkeypatch):
+        # overwriting every array the dense output read or wrote in the solve
+        # leaves the returned states as they were
+        seen = []
+
+        def recording(K, y_old, y, *rest):
+            seen.extend((K, y_old, y))
+            dense_output(K, y_old, y, *rest)
+
+        dense_output = _dop853._dense_output
+        monkeypatch.setattr(_dop853, "_dense_output", recording)
+        args = (*KICK_SYSTEM, kick_drive, 0.0, 10.0, np.array([1.0, 0.5j]), 1e-9, 1e-12)
+        states, _, _ = dop853(*args, np.linspace(0.1, 10.0, 300), 10.0)
+        kept = states.copy()
+        assert len(seen) >= 6  # two chunks or more
+        for buffer in seen:
+            assert not np.shares_memory(states, buffer)
+            buffer[...] = np.nan
+        assert np.array_equal(states, kept)
 
     def test_rejected_steps_equal_scipy(self):
         y0 = np.array([1.0, 0.5j], dtype=complex)
