@@ -164,16 +164,15 @@ def _weak_drive_corners(out, small):
 
 def _pair_outputs(out, prefix, drives):
     """dress, dd_coefficients, pair_potential_full and lower_branch_shift per (drive, r0)."""
-    from dataclasses import astuple
-
     from rydgate import dressing, interactions
 
     rows = {"dress": [], "dd_coefficients": [], "pair_potential_full": [],
             "lower_branch_shift": []}
     for drive, r0 in drives:
         pair = dressing.dress(drive)
-        rows["dress"].append(astuple(pair))
-        rows["dd_coefficients"].append(astuple(interactions.dd_coefficients(pair, drive.d1)))
+        rows["dress"].append(tuple(vars(pair).values()))
+        rows["dd_coefficients"].append(
+            tuple(vars(interactions.dd_coefficients(pair, drive.d1)).values()))
         rows["pair_potential_full"].append(interactions.pair_potential_full(drive, r0))
         rows["lower_branch_shift"].append(interactions.lower_branch_shift(drive, r0))
     for name, values in rows.items():

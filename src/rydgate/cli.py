@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -131,7 +130,7 @@ def _cmd_fc(cfg: RunConfig, args) -> list:
 
 def _cmd_dress(cfg: RunConfig, args) -> list:
     pair = dress(cfg.dressing.mw_drive(), cfg.dressing.pol_p, cfg.dressing.pol_s)
-    payload = asdict(pair)
+    payload = dict(vars(pair))
     payload["e_plus_mhz"] = to_mhz(pair.e_plus)
     payload["e_minus_mhz"] = to_mhz(pair.e_minus)
     return [("", _json_text(payload))]

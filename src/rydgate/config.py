@@ -12,10 +12,9 @@ lines; any other form (":" delimiters, inline comments, continuation lines,
 either read, so a file reads the same either way.
 """
 
-import configparser
 import math
-from dataclasses import dataclass, fields
 
+from ._record import Record
 from .constants import ATOMIC_MASS, CA40_MASS, CA40_MASS_AMU, TWO_PI, mhz
 from .dressing import D1_DEFAULT, MWDrive, POL_P_DEFAULT, POL_S_DEFAULT
 from .dynamics import SIM_RANGES, SimConfig
@@ -32,8 +31,9 @@ _DEFAULT_TRAP = from_secular(
 )
 
 
-@dataclass(frozen=True)
-class TrapSection:
+class TrapSection(Record):
+    """[trap]: rf and static gradients, drive, ion mass and the Lamb-Dicke parameter."""
+
     alpha: float = _DEFAULT_TRAP.alpha          # V/m^2
     beta: float = _DEFAULT_TRAP.beta            # V/m^2
     omega_rf_mhz: float = 30.0
@@ -54,8 +54,9 @@ class TrapSection:
         )
 
 
-@dataclass(frozen=True)
-class DressingSection:
+class DressingSection(Record):
+    """[dressing]: microwave drive in MHz, polarizabilities and the transition dipole."""
+
     omega_mw_mhz: float = 400.0
     delta_s_mhz: float = 136.074
     delta_p_mhz: float = 293.957
@@ -72,8 +73,9 @@ class DressingSection:
         )
 
 
-@dataclass(frozen=True)
-class InteractionsSection:
+class InteractionsSection(Record):
+    """[interactions]: van der Waals C6 and the separation sweep in um."""
+
     c6_ghz_um6: float = 0.3
     r_min_um: float = 2.0
     r_max_um: float = 10.0
@@ -84,8 +86,9 @@ class InteractionsSection:
         return mhz(self.c6_ghz_um6 * 1e3)  # rad/us um^6
 
 
-@dataclass(frozen=True)
-class PulseSection:
+class PulseSection(Record):
+    """[pulse]: peak Rabi frequency and detuning scale in MHz, duration in us."""
+
     omega0_mhz: float = 0.5
     delta0_mhz: float = 0.639
     tau_us: float = 60.0
@@ -98,8 +101,9 @@ class PulseSection:
         )
 
 
-@dataclass(frozen=True)
-class SimulationSection:
+class SimulationSection(Record):
+    """[simulation]: blockade in MHz, the dynamics' cutoff, tolerances and output grid."""
+
     blockade_mhz: float = 2.5
     n_phonon_max: int = SimConfig.n_phonon_max
     rtol: float = SimConfig.rtol
@@ -108,13 +112,15 @@ class SimulationSection:
     tau0_us: float = 132.0  # dressed-state lifetime for the loss estimate
 
 
-@dataclass(frozen=True)
-class OutputSection:
+class OutputSection(Record):
+    """[output]: the output file path."""
+
     path: str = ""          # empty -> stdout
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
+    """One validated config file: a record per section."""
+
     trap: TrapSection = TrapSection()
     dressing: DressingSection = DressingSection()
     interactions: InteractionsSection = InteractionsSection()
@@ -139,8 +145,8 @@ class RunConfig:
         return secular_frequencies(self.trap.trap_config()).omega_z
 
 
-# section name -> (its dataclass, field name -> field)
-_SECTIONS = {f.name: (f.type, {g.name: g for g in fields(f.type)}) for f in fields(RunConfig)}
+# section name -> (its record class, key -> type)
+_SECTIONS = {name: (cls, cls.__annotations__) for name, cls in RunConfig.__annotations__.items()}
 
 # largest [interactions] points: a 10 000-point sweep peaks near 40 MB and
 # takes about 0.06 s with its 1 MB CSV, 100 000 about 120 MB and 0.7 s (one
@@ -176,11 +182,11 @@ _RANGES = {
 }
 
 
-def _convert(section: str, field, raw: str):
+def _convert(section: str, key: str, kind: type, raw: str):
     try:
-        return field.type(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ParseError(f"[{section}] {field.name}: cannot parse {raw!r}") from exc
+        raise ParseError(f"[{section}] {key}: cannot parse {raw!r}") from exc
 
 
 def _check_range(section: str, key: str, value):
@@ -230,6 +236,8 @@ def _plain_sections(text: str, overrides: list):
 
 def _configparser_sections(path, text, source, overrides: list) -> dict:
     """{section: {key: value}} of any INI text configparser reads, with its overrides."""
+    import configparser  # the plain form, configs/*.cfg among them, never needs it
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     if text is not None:
@@ -265,7 +273,7 @@ def _build(sections: dict) -> RunConfig:
         for key in given:
             if key not in known:
                 raise ValidationError(f"unknown key '{key}' in section [{name}]")
-        values = {key: _convert(name, known[key], raw) for key, raw in given.items()}
+        values = {key: _convert(name, key, known[key], raw) for key, raw in given.items()}
         for key in known:
             if key in values:
                 _check_range(name, key, values[key])

@@ -12,10 +12,9 @@ vanishes where C_pm^2 = q = -P_S / P_P, that is at
 D_- = +-Omega (q - 1) / (2 sqrt(q)) on the upper (+) and lower (-) branch.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, NoRoot
 
 # Reduced polarizabilities (m^2/J, conventional polarizability over q^2) of
@@ -31,8 +30,7 @@ POL_S_DEFAULT = 0.925e9
 D1_DEFAULT = 1.0262584988416888e-26
 
 
-@dataclass(frozen=True)
-class MWDrive:
+class MWDrive(Record):
     """Microwave drive parameters, angular frequencies in rad/us.
 
     d1 is the P<->S transition dipole moment in C m.
@@ -57,8 +55,7 @@ class MWDrive:
         return np.hypot(self.omega_mw_rabi, self.delta_minus)
 
 
-@dataclass(frozen=True)
-class DressedPair:
+class DressedPair(Record):
     """Mixing coefficients, energies and polarizabilities of the dressed states."""
 
     c_plus: float

@@ -26,11 +26,11 @@ so states, phases and RHS counts equal those of a SciPy solve.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._dop853 import RTOL_FLOOR, dop853
+from ._record import Record
 from .errors import DomainError, ValidationError
 from .gate import PulseShape, pulse_at, wrap_angle
 
@@ -56,8 +56,7 @@ SIM_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Gate-dynamics parameters, angular frequencies in rad/us.
 
     blockade     : pair interaction energy B on |-->
@@ -98,8 +97,7 @@ class SimConfig:
         return N_ELEC * N_ELEC * (self.n_phonon_max + 1)
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
+class EvolutionTrace(Record):
     """Time grid, state vectors and traced electronic populations.
 
     p_dm sums the |D->, |-D> pair; p_init is the survival probability of the

@@ -41,10 +41,10 @@ every overlap is real.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, TruncationWarning
 from .modes import PhononBasis
 
@@ -57,8 +57,7 @@ ROW_NORM_DEFECT_TOL = 1e-4
 N_MAX_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class FCMatrix:
+class FCMatrix(Record):
     """Overlap amplitudes between truncated two-mode Fock bases.
 
     entries[k, j] = <bra multi-index k | ket multi-index j> with the flat

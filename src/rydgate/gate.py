@@ -31,10 +31,10 @@ reference design it is 0.07 rad away from the exact phase.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, NoRoot, ToleranceFailure, ValidationError
 
 QUAD_ABS_TOL = 1e-8  # rad, last change of the accumulated phases on node doubling
@@ -58,8 +58,7 @@ def wrap_angle(x):
     return np.pi - np.mod(np.pi - np.asarray(x), 2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class PulseShape:
+class PulseShape(Record):
     """sin^2 pulse: peak Rabi omega0, detuning scale delta0 > 0, duration tau (us).
 
     delta0 > 0 keeps E_- > 0 over the pulse, where the qubit states |DD> and
@@ -84,8 +83,7 @@ class PulseShape:
             raise ValidationError(f"pulse detuning scale delta0 must be > 0, got {self.delta0}")
 
 
-@dataclass(frozen=True)
-class GateDesign:
+class GateDesign(Record):
     """Accumulated phases and the resulting two-qubit phase rotation.
 
     blockade in rad/us; phi_dd and phi_de unwrapped; phi_ent in (-pi, pi];

@@ -13,17 +13,16 @@ makes the first-order |--> shift coincide with C3(-)/R0^3.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .constants import COULOMB_C0, E_CHARGE, M_TO_UM, joule_to_rad_us
 from .dressing import DressedPair, MWDrive, dress
 from .errors import DomainError, WeakDriveWarning
 
 
-@dataclass(frozen=True)
-class InteractionModel:
+class InteractionModel(Record):
     """Dipole-exchange coefficients of the dressed ion pair.
 
     c3_plus/c3_minus in rad/us um^3, d_plus/d_minus in m.

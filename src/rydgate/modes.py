@@ -7,10 +7,9 @@ ponderomotive curvature -2 q^2 alpha^2 P / M set by its polarizability P;
 the axial direction never does (the rf gradient has no z component).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .constants import COULOMB_C0, E_CHARGE, RAD_S_TO_RAD_US
 from .errors import DomainError, ModeInstability
 from .trap import CrystalGeometry, TrapConfig, secular_frequencies
@@ -22,8 +21,7 @@ AXES = ("X", "Y", "Z")
 _C_AXIS = {"X": 1.0, "Y": 1.0, "Z": -2.0}
 
 
-@dataclass(frozen=True)
-class HessianSpec:
+class HessianSpec(Record):
     """Ingredients of a 2x2 mass-scaled Hessian along one axis.
 
     omega_chi            : bare secular frequency along the axis, rad/us
@@ -50,8 +48,7 @@ class HessianSpec:
         )
 
 
-@dataclass(frozen=True)
-class PhononBasis:
+class PhononBasis(Record):
     """Mode frequencies (rad/us, ascending) and orthonormal mode vectors.
 
     eigenvectors[:, j] is the j-th mode; its first nonzero component is

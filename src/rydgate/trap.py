@@ -5,16 +5,14 @@ SI: gradients in V/m^2, angular frequencies in rad/s, lengths in m. The
 phonon-mode module converts to the internal rad/us units.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .constants import COULOMB_C0, E_CHARGE, HBAR
 from .errors import DomainError, Unconfined
 
 
-@dataclass(frozen=True)
-class TrapConfig:
+class TrapConfig(Record):
     """Linear Paul trap and ion parameters.
 
     alpha    : rf field gradient (V/m^2)
@@ -29,14 +27,16 @@ class TrapConfig:
     mass: float
 
 
-@dataclass(frozen=True)
-class SecularFrequencies:
+class SecularFrequencies(Record):
+    """Single-ion pseudopotential secular frequencies, rad/s."""
+
     omega_rho: float  # radial, rad/s
     omega_z: float    # axial, rad/s
 
 
-@dataclass(frozen=True)
-class CrystalGeometry:
+class CrystalGeometry(Record):
+    """Equilibrium positions of the two-ion crystal on the trap axis, m."""
+
     z2_bar: float  # m, ion 2 on the axis; ion 1 sits at -z2_bar
     r0: float      # ion separation, m
 

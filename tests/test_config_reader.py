@@ -48,7 +48,7 @@ def reference_load_config(path=None, overrides=None) -> RunConfig:
         for key in given:
             if key not in known:
                 raise ValidationError(f"unknown key '{key}' in section [{name}]")
-        section = cls(**{key: _convert(name, known[key], raw) for key, raw in given.items()})
+        section = cls(**{key: _convert(name, key, known[key], raw) for key, raw in given.items()})
         for key in known:
             _check_range(name, key, getattr(section, key))
         kwargs[name] = section

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -123,7 +122,8 @@ class TestPairPotentialFull:
         drive = reference_drive()
         pair = dress(drive)
         for r0 in (2.0, 5.0, 9.0):
-            eigs = pair_potential_full(dataclasses.replace(drive, d1=0.0), r0=r0)
+            undipolar = MWDrive(drive.omega_mw_rabi, drive.delta_s, drive.delta_p, d1=0.0)
+            eigs = pair_potential_full(undipolar, r0=r0)
             expected = np.sort([2 * pair.e_minus, pair.e_plus + pair.e_minus,
                                 pair.e_plus + pair.e_minus, 2 * pair.e_plus])
             assert eigs == pytest.approx(expected, rel=1e-12, abs=1e-9)

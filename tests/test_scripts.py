@@ -93,3 +93,22 @@ def test_bench_summary_reads_every_bench_file(monkeypatch, capsys, tmp_path):
     broken.write_text('{"claimed_gain": null}')
     with pytest.raises(SystemExit, match="BENCH_0.json: cannot summarise"):
         _run_script("bench_summary", [str(broken)], monkeypatch)
+
+
+def test_cli_process_time(tmp_path, monkeypatch, capsys):
+    samples = tmp_path / "samples.json"
+    _run_script("cli_process_time", ["--repeat", "1", "--json", str(samples)], monkeypatch)
+    configs = sorted(f[:-4] for f in os.listdir(os.path.join(REPO, "configs"))
+                     if f.endswith(".cfg"))
+    cases = ["import"] + [f"{cmd} {cfg}" for cfg in configs
+                          for cmd in ("modes", "fc", "dress", "interactions", "gate", "evolve")]
+    timed = json.loads(samples.read_text(encoding="utf-8"))
+    assert list(timed) == ["cold", "warm"]
+    for by_tree in timed.values():
+        assert list(by_tree) == ["tree"]
+        assert list(by_tree["tree"]) == cases
+        assert all(len(s) == 1 and s[0] > 0 for s in by_tree["tree"].values())
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * (len(cases) + 1)
+    for line in lines:
+        assert re.fullmatch(r"(cold|warm) +(case +tree ms|\w+( \w+)? +\d+\.\d)", line), line
