@@ -22,7 +22,7 @@ cases within 1e-3 of its threshold); entangling_phase_dynamic, and evolve
 under a drive with two breakpoints, at n_phonon_max 1 to 6 on 201 output
 times and on more output times than steps; every CLI subcommand on
 configs/*.cfg; and load_config on fixed texts in the plain INI form and in
-the other forms configparser reads, with and without overrides. --small
+the other INI forms, which it refuses, with and without overrides. --small
 runs a slice of it. Bits depend on numpy, libm and the CPU, so the check
 compares two trees on one machine; it is not a golden file.
 """
@@ -236,7 +236,7 @@ def _dynamics_outputs(out, cases):
         out[f"{key}.evolve_breakpoints.nfev_steps"] = np.array([trace.nfev, trace.steps])
 
 
-# config texts in the plain INI form and in the other forms configparser reads
+# config texts in the plain INI form and in other INI forms, which load_config refuses
 CONFIG_TEXTS = {
     "plain": "# c\n[pulse]\ntau_us = 55\nOmega0_MHz=0.45\n\n[simulation]\nblockade_mhz = 3.1\n",
     "empty_value": "[output]\npath =\n[interactions]\nr_min_um = 3\npoints = 40\n",

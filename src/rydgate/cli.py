@@ -142,11 +142,8 @@ def _cmd_interactions(cfg: RunConfig, args) -> list:
     model = interactions.dd_coefficients(pair, drive.d1)
     sweep = cfg.interactions
     r0s = np.linspace(sweep.r_min_um, sweep.r_max_um, sweep.points)
-    # the power laws on Python floats, point by point: numpy's array ** can
-    # differ from scalar pow in the last bit
-    points = r0s.tolist()
-    vdw = [interactions.vdw_shift(sweep.c6, r0) for r0 in points]
-    dd = [interactions.dd_shift(model.c3_minus, r0) for r0 in points]
+    vdw = interactions.vdw_shift(sweep.c6, r0s)
+    dd = interactions.dd_shift(model.c3_minus, r0s)
     eigs = interactions.pair_potential_full(drive, r0s)
     header = ["R0_um", "vdw_mhz", "dd_minus_mhz",
               "full_branch_1_mhz", "full_branch_2_mhz",

@@ -6,10 +6,12 @@ lengths in um. Unknown sections or keys are rejected; every default is a
 documented physical operating point (see README). An empty or absent file
 yields the all-defaults configuration.
 
-A file in the plain INI form of configs/*.cfg is read in one pass over its
-lines; any other form (":" delimiters, inline comments, continuation lines,
-[DEFAULT]) goes through configparser. One builder checks and converts what
-either read, so a file reads the same either way.
+A file is read in one pass over its lines, in the plain INI form of
+configs/*.cfg: "[section]" headers, "key = value" lines, full-line "#" or
+";" comments and blank lines. Any other line (indented or continuation
+lines, ":" delimiters, inline comments, a key line before any header, a
+repeated section or key) raises ParseError naming the file and the line;
+[DEFAULT] is an unknown section like any other.
 """
 
 import math
@@ -197,61 +199,51 @@ def _check_range(section: str, key: str, value):
         raise ValidationError(f"[{section}] {key} {rule[1]}, got {value}")
 
 
-def _plain_sections(text: str, overrides: list):
-    """{section: {key: value}} of text in the plain INI form, overrides merged in; else None.
+def _sections(text: str, path, overrides: list) -> dict:
+    """{section: {key: value}} of a config text in the plain INI form, overrides merged in.
 
-    Plain: each line (split on "\n" only, as configparser iterates lines) is
-    blank, a full-line comment, an unindented "[name]" header, name new and
-    not DEFAULT, or an unindented "key = value" line under a header, key new
-    and free of ":"; no header or key line holds "#" or ";". configparser's
-    inline comments, continuation lines, [DEFAULT] keys and ":" delimiters
-    cannot act there, so this scan reads what it would. overrides holds
-    load_config's checked (section, key, raw) triples; an override of
-    DEFAULT, which configparser merges into every section, also gives None.
+    Each line (split on "\n") is blank, a full-line "#" or ";" comment, an
+    unindented "[name]" header with a new name, or an unindented
+    "key = value" line under a header, its key new in the section and free of
+    ":". No header or key line holds "#" or ";". Any other line raises
+    ParseError naming the file and the line. Keys are lower-cased; [DEFAULT]
+    is a section like any other. overrides holds load_config's checked
+    (section, key, raw) triples.
     """
     sections, current = {}, None
-    for line in text.split("\n"):
+    for number, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped[0] in "#;":
             continue
-        if line[0].isspace() or "#" in line or ";" in line:
-            return None
-        if stripped[0] == "[":
-            name = stripped[1:-1]
-            if stripped[-1] != "]" or not name or name == "DEFAULT" or name in sections:
-                return None
-            current = sections[name] = {}
-            continue
         key, eq, value = stripped.partition("=")
         key = key.rstrip().lower()
-        if current is None or not eq or not key or ":" in key or key in current:
-            return None
-        current[key] = value.strip()
-    for section, key, raw in overrides:  # as ConfigParser.read_dict merges them
-        if section == "DEFAULT":
-            return None
-        sections.setdefault(section, {})[key.lower()] = str(raw)
-    return sections
-
-
-def _configparser_sections(path, text, source, overrides: list) -> dict:
-    """{section: {key: value}} of any INI text configparser reads, with its overrides."""
-    import configparser  # the plain form, configs/*.cfg among them, never needs it
-
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
-    if text is not None:
-        try:
-            parser.read_string(text, source)
-        except configparser.Error as exc:
-            raise ParseError(f"malformed config file {path}: {exc}") from exc
+        if line[0].isspace():
+            problem = "indented line (continuation lines are not read)"
+        elif "#" in line or ";" in line:
+            problem = "'#' or ';' in a header or key line (inline comments are not read)"
+        elif stripped[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name:
+                problem = "malformed section header"
+            elif name in sections:
+                problem = f"repeated section [{name}]"
+            else:
+                current = sections[name] = {}
+                continue
+        elif ":" in key:
+            problem = "':' as a delimiter or in a key (write 'key = value')"
+        elif not eq or not key:
+            problem = "not a 'key = value' line"
+        elif current is None:
+            problem = "key line before any section header"
+        elif key in current:
+            problem = f"repeated key '{key}' in section [{name}]"
+        else:
+            current[key] = value.strip()
+            continue
+        raise ParseError(f"malformed config file {path}, line {number}: {problem}: {stripped!r}")
     for section, key, raw in overrides:
-        parser.read_dict({section: {key: raw}})
-    sections = {}
-    for name in parser.sections():
-        values = dict(parser.items(name, raw=True))
-        # in the section's own key order, then [DEFAULT]'s, as a SectionProxy lists them
-        sections[name] = {key: values[key] for key in parser.options(name)}
+        sections.setdefault(section, {})[key.lower()] = str(raw)
     return sections
 
 
@@ -287,6 +279,8 @@ def _build(sections: dict) -> RunConfig:
 def load_config(path=None, overrides=None) -> RunConfig:
     """Parse and validate a config file; None yields the all-defaults config.
 
+    The file must be in the plain INI form (module docstring); a line
+    outside it raises ParseError "malformed config file PATH, line N: ...".
     overrides maps "section.key" to a raw value string (the CLI's flags). It
     is written into the parsed file before anything is converted, so a
     flag obeys exactly the rules of the key it names. A key without exactly
@@ -298,14 +292,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if len(parts) != 2 or raw is None:
             raise ParseError(f"override {dotted!r} = {raw!r}: want 'section.key' = value")
         triples.append((*parts, raw))
-    text = source = None
+    text = ""
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                text, source = handle.read(), handle.name
+                text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read config file {path}: {exc}") from exc
-    sections = _plain_sections(text or "", triples)
-    if sections is None:
-        sections = _configparser_sections(path, text, source, triples)
-    return _build(sections)
+    return _build(_sections(text, path, triples))

@@ -34,18 +34,25 @@ class InteractionModel(Record):
     d_plus: float
 
 
-def vdw_shift(c6: float, r0: float) -> float:
-    """van der Waals energy C6/R0^6 (rad/us) at separation r0 (um)."""
-    if not r0 > 0.0:  # NaN fails too
+def _inverse_power(coefficient: float, r0, power: int):
+    """coefficient / r0**power at r0 > 0 (else DomainError): a float, or an array for one.
+
+    np.float_power gives Python's scalar ** bit for bit; array ** can differ in the last bit.
+    """
+    if not np.all(np.greater(r0, 0.0)):  # NaN fails too
         raise DomainError("separation must be positive")
-    return c6 / r0**6
+    value = coefficient / np.float_power(r0, power)
+    return value if value.ndim else float(value)
 
 
-def dd_shift(c3: float, r0: float) -> float:
-    """Dipole-exchange energy C3/R0^3 (rad/us) at separation r0 (um)."""
-    if not r0 > 0.0:  # NaN fails too
-        raise DomainError("separation must be positive")
-    return c3 / r0**3
+def vdw_shift(c6: float, r0):
+    """van der Waals energy C6/R0^6 (rad/us) at separation r0 (um), a float or an array."""
+    return _inverse_power(c6, r0, 6)
+
+
+def dd_shift(c3: float, r0):
+    """Dipole-exchange energy C3/R0^3 (rad/us) at separation r0 (um), a float or an array."""
+    return _inverse_power(c3, r0, 3)
 
 
 def dd_coefficients(pair: DressedPair, d1: float) -> InteractionModel:
@@ -61,10 +68,9 @@ def dd_coefficients(pair: DressedPair, d1: float) -> InteractionModel:
     )
 
 
-def exchange_coupling(d1: float, r0: float) -> float:
-    """Co-rotating |PS><SP| exchange coefficient C0 d1^2/(2 q^2 R0^3), rad/us."""
-    g_si = COULOMB_C0 * (d1 / E_CHARGE) ** 2 / (2.0 * (r0 / M_TO_UM) ** 3)
-    return joule_to_rad_us(g_si)
+def exchange_coupling(d1: float, r0):
+    """Co-rotating |PS><SP| exchange C0 d1^2/(2 q^2 R0^3), rad/us: a C3/R0^3 law, as dd_shift."""
+    return joule_to_rad_us(dd_shift(COULOMB_C0 * (d1 / E_CHARGE) ** 2 / 2.0, r0 / M_TO_UM))
 
 
 def pair_potential_full(drive: MWDrive, r0=5.0) -> np.ndarray:
@@ -80,33 +86,28 @@ def pair_potential_full(drive: MWDrive, r0=5.0) -> np.ndarray:
     separation that is not > 0, NaN included; inf is the non-interacting
     limit.
     """
-    r0 = np.asarray(r0, dtype=float)
-    exchange = []
-    for r in r0.ravel().tolist():
-        if not r > 0.0:  # NaN fails too
-            raise DomainError("separation must be positive")
-        # on Python floats: numpy's array ** can differ from scalar pow in the last bit
-        g = exchange_coupling(drive.d1, r)
-        bare_exchange = 2.0 * g
-        if drive.d1 != 0.0 and drive.omega_mw_rabi < 10.0 * bare_exchange:
-            warnings.warn(
-                f"Omega_MW / exchange = {drive.omega_mw_rabi / bare_exchange:.2f} < 10 "
-                f"at R0 = {r} um; dressed branches are no longer well separated",
-                WeakDriveWarning,
-                stacklevel=2,
-            )
-        exchange.append(g)
+    flat = np.asarray(r0, dtype=float).ravel()
+    valid = flat > 0.0  # NaN fails too
+    n_valid = flat.size if valid.all() else int(valid.argmin())  # up to the first bad one
+    exchange = exchange_coupling(drive.d1, flat[:n_valid])
+    for r, g in zip(flat[:n_valid].tolist(), exchange.tolist()):
+        if drive.d1 != 0.0 and drive.omega_mw_rabi < 10.0 * (2.0 * g):
+            warnings.warn(f"Omega_MW / exchange = {drive.omega_mw_rabi / (2.0 * g):.2f} < 10 "
+                          f"at R0 = {r} um; dressed branches are no longer well separated",
+                          WeakDriveWarning, stacklevel=2)
+    if n_valid < flat.size:
+        raise DomainError("separation must be positive")
     # h1 (x) 1 + 1 (x) h1 with h1 = [[Delta_P, Omega/2], [Omega/2, Delta_S]], plus
     # the exchange, entry by entry as the two Kronecker products sum them
     dp, ds, half = drive.delta_p, drive.delta_s, 0.5 * drive.omega_mw_rabi
-    h = np.empty((len(exchange), 4, 4))
+    h = np.empty((flat.size, 4, 4))
     h[:] = [[dp + dp, half, half, 0.0],
             [half, dp + ds, 0.0, half],
             [half, 0.0, ds + dp, half],
             [0.0, half, half, ds + ds]]
     h[:, 1, 2] = h[:, 2, 1] = exchange
     # eigvalsh diagonalizes a stack one matrix at a time, so each row keeps its bits
-    eigs = np.linalg.eigvalsh(h.reshape(r0.shape + (4, 4)))
+    eigs = np.linalg.eigvalsh(h.reshape(np.shape(r0) + (4, 4)))
     eigs.sort()
     return eigs
 

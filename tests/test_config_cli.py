@@ -71,13 +71,15 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="omega_mhz"):
             load_config(path)
 
-    def test_unknown_key_named_before_default_section_keys(self, tmp_path):
-        # a [DEFAULT] key reaches every section, after the section's own keys
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        # [DEFAULT] is a section like any other, in a file or as an override;
+        # no key of it reaches another section
         path = tmp_path / "bad.cfg"
         path.write_text("[DEFAULT]\nzzz = 1\n\n[interactions]\nr_min_um = 2.5\nbogus = 3\n")
-        with pytest.raises(ValidationError,
-                           match=r"^unknown key 'bogus' in section \[interactions\]$"):
+        with pytest.raises(ValidationError, match=r"^unknown config section \[DEFAULT\]$"):
             load_config(path)
+        with pytest.raises(ValidationError, match=r"^unknown config section \[DEFAULT\]$"):
+            load_config(None, {"DEFAULT.tau_us": "50", "pulse.tau_us": "50"})
 
     def test_rtol_below_stepper_floor_rejected(self, tmp_path):
         path = tmp_path / "tight.cfg"
@@ -427,6 +429,32 @@ class TestCLI:
         assert err.startswith(f"error: cannot write output file {missing / written}: ")
         assert "Traceback" not in err
         assert not missing.exists()
+
+    @pytest.mark.parametrize("text, line", [
+        ("[interactions]\npoints = 40\n  50\n", 3),
+        ("[pulse]\n\ttau_us = 55\n", 2),
+        ("[pulse]\ntau_us\n", 2),
+        ("[pulse]\ntau_us: 55\n", 2),
+        ("[pulse]\ntau_us = 55 ; us\n", 2),
+        ("[pulse] # design point\n", 1),
+        ("# c\ntau_us = 55\n[pulse]\n", 2),
+        ("[pulse\ntau_us = 55\n", 1),
+        ("[pulse]\n[simulation]\n[pulse]\n", 3),
+        ("[pulse]\ntau_us = 55\nTAU_US = 56\n", 3),
+    ], ids=["continuation", "indented_key", "no_delimiter", "colon_delimiter", "inline_comment",
+            "comment_in_header", "key_before_header", "malformed_header", "repeated_section",
+            "repeated_key"])
+    def test_refused_config_form_exit_code(self, text, line, tmp_path, capsys):
+        # a line outside the plain INI form: exit 2, the file and line on stderr, no file
+        cfg = tmp_path / "form.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "gate.json"
+        assert main(["gate", "--config", str(cfg), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: malformed config file {cfg}, line {line}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_evolve_output_directory_writes_no_summary(self, tmp_path, capsys):
         # the CSV's failed write ends the run before the summary is written

@@ -1,19 +1,20 @@
-"""load_config against its configparser-only form, on generated INI texts.
+"""load_config against a configparser reader, on generated INI texts.
 
-load_config reads the plain INI form in one line scan and hands any other
-text to configparser; either way it must return what the configparser-only
-reader below returns, or raise the same exception class with the same text.
+load_config reads the plain INI form in one line scan. On a plain text it
+must return what the configparser reader below returns, or raise the same
+exception class with the same text; a text with one line outside the plain
+form must raise ParseError naming that line.
 """
 
 import configparser
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rydgate.config import (RunConfig, _SECTIONS, _check_range, _configparser_sections, _convert,
-                            _plain_sections, load_config)
+from rydgate.config import RunConfig, _SECTIONS, _check_range, _convert, _sections, load_config
 from rydgate.errors import ParseError, ValidationError
 
 
@@ -58,15 +59,28 @@ def reference_load_config(path=None, overrides=None) -> RunConfig:
     return cfg
 
 
+def reference_sections(text: str, overrides: list) -> dict:
+    """{section: {key: value}} of an INI text as configparser reads it, with the overrides."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser.read_string(text)
+    for section, key, raw in overrides:
+        parser.read_dict({section: {key: raw}})
+    return {name: dict(parser.items(name, raw=True)) for name in parser.sections()}
+
+
 KNOWN = {name: list(known) for name, (_, known) in _SECTIONS.items()}
-SECTION_NAMES = [*KNOWN, "DEFAULT", "nonsense", "Pulse", " pulse ", "a]b", "x = 1"]
+# [DEFAULT], which configparser merges into every section, is left out: the
+# scan reads it as an unknown section (tests/test_config_cli.py)
+SECTION_NAMES = [*KNOWN, "nonsense", "Pulse", " pulse ", "a]b", "x = 1"]
 KEYS = [key for keys in KNOWN.values() for key in keys] + ["bogus", "format", "a b"]
-# in range, out of range, unparseable, non-finite, empty and with "=" or ":"
+# in range, out of range, unparseable, non-finite, empty, with "=" or ":",
+# and "%", which neither reader interpolates
 PLAIN_VALUES = ["0.5", "2", "60", "3.3", "100", "7.5", "1.0", "2.5", "-1", "0", "1e-15",
-                "41", "inf", "nan", "abc", "", "a:b", "4 = 5"]
-# "%", and inline comments: the round-by-round scan reads "1#x #y ;z" as "1#x #y"
-VALUES = PLAIN_VALUES + ["60%", "%(x)s", "1#x #y ;z", "1 # c", "2 ;c", "1;x"]
-ODD = [" ", "\t", "\f", "\r", "\x85", "\u2028", "\xa0", "\x1c"]
+                "41", "inf", "nan", "abc", "", "a:b", "4 = 5", "60%", "%(x)s"]
+# override values are raw strings: neither reader looks for comments in them
+VALUES = PLAIN_VALUES + ["1#x #y ;z", "1 # c", "2 ;c", "1;x"]
+# white space that str.strip removes and no reader takes as a line break
+ODD = [" ", "\t", "\f", "\x85", "\u2028", "\xa0", "\x1c"]
 
 
 @st.composite
@@ -77,67 +91,119 @@ def mixed_case(draw, text):
 
 def key_line(keys):
     """A plain key line: an unindented "key = value" without "#", ";" or ":" before "="."""
-    return st.builds("{}{}{}".format, st.sampled_from(keys).flatmap(mixed_case),
-                     st.sampled_from(["=", " = ", " =", "= "]), st.sampled_from(PLAIN_VALUES))
+    return st.builds("{}{}{}{}".format, st.sampled_from(keys).flatmap(mixed_case),
+                     st.sampled_from(["=", " = ", " =", "= "]), st.sampled_from(PLAIN_VALUES),
+                     st.sampled_from(["", "", "", *ODD]))
 
 
-# a plain text: blocks of a known header and key lines, keys mostly of its
-# section and new in it (strategies are built once; building them per draw
-# is most of the test's time)
+BLANKS = st.sampled_from(["", "  ", "# note", "  ; a = 1", "\f# c", "\x85", ";;"])
+# the lines under a header, keys mostly of its section (any key under an
+# unknown one) and new in it (strategies are built once; building them per
+# draw is most of the test's time)
 SECTION_BODIES = {
     name: st.lists(st.one_of(key_line(keys), key_line(keys), key_line(keys), key_line(KEYS),
-                             st.sampled_from(["", "  ", "# note", "  ; a = 1"])),
-                   min_size=1, max_size=4,
-                   unique_by=lambda line: line.partition("=")[0].strip().lower())
-    for name, keys in KNOWN.items()}
-# one-step edits of a key line that leave the plain form: an indent (a
-# continuation line after a key line), ":" as the delimiter, odd characters
-# or an inline comment at the end
-EDITS = [(lambda line, piece: piece + line, st.sampled_from([" ", "  ", "\t", "\f"])),
-         (lambda line, piece: line.replace("=", piece, 1),
-          st.sampled_from([": ", " : ", ":=", ":b ="])),
-         (lambda line, piece: line + piece,
-          st.sampled_from([*ODD, " # c", ";c", " ;x", "#x #y ;z", "%"]))]
-# lines added to a text: headers of every kind, continuation lines, lines
-# without a delimiter or key, "%" and odd characters
-OTHER_LINES = st.one_of(
-    st.builds("[{}]{}".format, st.sampled_from(SECTION_NAMES),
-              st.sampled_from(["", " # c", ";c", "junk", " = 1", "\x85"])),
-    st.builds("{}{}".format, st.sampled_from(["  ", "\t"]), st.sampled_from(VALUES)),
-    st.builds("{} = {}".format, st.sampled_from(KEYS), st.sampled_from(VALUES)),
-    st.sampled_from(["justtext", "[]", "[pulse", "= 1", ": 1", "%", "tau_us", "a\rb = 1",
-                     "\f", "\x85", "\u2028", "\f# c"]))
+                             BLANKS),
+                   max_size=4, unique_by=lambda line: line.partition("=")[0].strip().lower())
+    for name, keys in {**dict.fromkeys(SECTION_NAMES, KEYS), **KNOWN}.items()}
+
+
+def _lines_where(lines, test):
+    return [i for i, line in enumerate(lines) if test(line.strip())]
+
+
+def _is_header(stripped):
+    return stripped.startswith("[")
+
+
+def _is_key_line(stripped):
+    return "=" in stripped and not stripped.startswith(("[", "#", ";"))
+
+
+# one edit that takes a plain text out of the plain form: edit(draw, lines)
+# changes lines in place and returns the index of the line now refused, every
+# line before it still plain
+def _indent(draw, lines):
+    at = draw(st.sampled_from(_lines_where(lines, lambda s: _is_header(s) or _is_key_line(s))))
+    lines[at] = draw(st.sampled_from(ODD)) + lines[at]
+    return at
+
+
+def _colon(draw, lines):
+    at = draw(st.sampled_from(_lines_where(lines, _is_key_line)))
+    lines[at] = lines[at].replace("=", draw(st.sampled_from([": ", " : ", ":", ":=", ":b ="])), 1)
+    return at
+
+
+def _inline_comment(draw, lines):
+    at = draw(st.sampled_from(_lines_where(lines, lambda s: _is_header(s) or _is_key_line(s))))
+    lines[at] += draw(st.sampled_from([" # c", ";c", " ;x", "#x #y ;z", " #"]))
+    return at
+
+
+def _inserted(draw, lines, line, first=0, last=None):
+    at = draw(st.integers(first, len(lines) if last is None else last))
+    lines.insert(at, line)
+    return at
+
+
+def _continuation(draw, lines):
+    return _inserted(draw, lines, draw(st.sampled_from(ODD)) + draw(
+        st.sampled_from(["50", "1.0", "tau_us = 1", "[pulse]", "abc"])))
+
+
+def _stray_line(draw, lines):
+    # "a\rb = 1" reads as the two lines "a" and "b = 1"
+    return _inserted(draw, lines, draw(st.sampled_from(
+        ["justtext", "tau_us", "[pulse", "[]", "= 1", ": 1", "[pulse]junk", "[pulse] = 1",
+         "a\rb = 1"])))
+
+
+def _repeated_header(draw, lines):
+    header = draw(st.sampled_from(_lines_where(lines, _is_header)))
+    return _inserted(draw, lines, lines[header].strip(), first=header + 1)
+
+
+def _repeated_key(draw, lines):
+    at = draw(st.sampled_from(_lines_where(lines, _is_key_line)))
+    key = lines[at].partition("=")[0].strip()
+    return _inserted(draw, lines, draw(key_line([key.lower()])), first=at + 1, last=at + 1)
+
+
+def _key_before_header(draw, lines):
+    first_header = _lines_where(lines, _is_header)[0]
+    return _inserted(draw, lines, draw(key_line(KEYS)), last=first_header)
+
+
+EDITS = [_indent, _colon, _inline_comment, _continuation, _stray_line, _repeated_header,
+         _repeated_key, _key_before_header]
 
 
 @st.composite
 def config_text(draw):
-    """A plain text, then none to two one-step edits or added lines."""
-    lines = []
-    for name in draw(st.lists(st.sampled_from(list(KNOWN)), min_size=1, max_size=3,
+    """(text, refused): a plain text, or one edit of it and the 0-based index of its refused line.
+
+    A plain text is an optional run of blank and comment lines, then one to
+    four sections with distinct headers. refused is None for an unedited text.
+    """
+    lines = draw(st.lists(BLANKS, max_size=2))
+    for name in draw(st.lists(st.sampled_from(SECTION_NAMES), min_size=1, max_size=4,
                               unique=True)):
-        lines += [f"[{name}]", *draw(SECTION_BODIES[name])]
-    for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.integers(0, len(EDITS)))
-        key_lines = [i for i, line in enumerate(lines) if "=" in line]
-        if kind == len(EDITS) or not key_lines:
-            lines.insert(draw(st.integers(0, len(lines))), draw(OTHER_LINES))
-        else:
-            edit, pieces = EDITS[kind]
-            at = draw(st.sampled_from(key_lines))
-            lines[at] = edit(lines[at], draw(pieces))
-    return draw(st.sampled_from(["\n", "\n", "\r\n"])).join(lines) + draw(
+        lines += [f"[{name}]" + draw(st.sampled_from(["", "", *ODD])), *draw(SECTION_BODIES[name])]
+    edit = draw(st.sampled_from([None, None, *EDITS]))
+    refused = None
+    if edit is not None and (edit not in (_colon, _repeated_key)
+                             or _lines_where(lines, _is_key_line)):
+        refused = edit(draw, lines)
+    text = draw(st.sampled_from(["\n", "\n", "\r\n"])).join(lines) + draw(
         st.sampled_from(["", "\n"]))
+    return text, refused
 
 
-dotted = st.builds("{}.{}".format, st.sampled_from(SECTION_NAMES[:7]),
+dotted = st.builds("{}.{}".format, st.sampled_from(SECTION_NAMES),
                    st.sampled_from(KEYS).flatmap(mixed_case))
 overrides = st.one_of(st.just({}), st.dictionaries(
     st.one_of(dotted, dotted, dotted, st.sampled_from(["pulse", "a.b.c"])),
     st.one_of(st.sampled_from(VALUES), st.sampled_from(VALUES), st.none()), max_size=3))
-
-
-def ordered(sections):
-    return [(name, list(keys.items())) for name, keys in sections.items()]
 
 
 def outcome(call):
@@ -154,22 +220,26 @@ def cfg_dir():
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=config_text(), flags=overrides)
-def test_load_config_equals_configparser_reader(cfg_dir, text, flags):
+@given(case=config_text(), flags=overrides)
+def test_plain_texts_read_as_configparser_reads_them_and_others_are_refused(cfg_dir, case, flags):
+    text, refused = case
     path = cfg_dir / "t.cfg"
     path.write_bytes(text.encode("utf-8"))
-    assert outcome(lambda: load_config(path, flags)) == outcome(
-        lambda: reference_load_config(path, flags))
-    # where the line scan reads the text, configparser reads the same
-    # sections, keys and values in the same order, errors or not to come;
-    # both take load_config's triples of the flags it accepts
-    read = path.read_text(encoding="utf-8")
     triples = [(*dotted.split("."), raw) for dotted, raw in flags.items()]
-    if all(len(triple) == 3 and triple[2] is not None for triple in triples):
-        sections = outcome(lambda: _plain_sections(read, triples))
-        if isinstance(sections, dict):
-            assert ordered(sections) == ordered(
-                _configparser_sections(path, read, str(path), triples))
+    well_formed = [triple for triple in triples if len(triple) == 3 and triple[2] is not None]
+    if refused is None:
+        assert outcome(lambda: load_config(path, flags)) == outcome(
+            lambda: reference_load_config(path, flags))
+        # the same sections, keys and values in the same order, errors or not to come
+        read = path.read_text(encoding="utf-8")
+        assert (list(map(list, _sections(read, path, well_formed).items()))
+                == list(map(list, reference_sections(read, well_formed).items())))
+    else:
+        # a flag cannot mend a refused line
+        flags = {f"{section}.{key}": raw for section, key, raw in well_formed}
+        with pytest.raises(ParseError, match=rf"^malformed config file {re.escape(str(path))}, "
+                                             rf"line {refused + 1}: "):
+            load_config(path, flags)
     assert outcome(lambda: load_config(None, flags)) == outcome(
         lambda: reference_load_config(None, flags))
 

@@ -12,6 +12,7 @@ from rydgate import (
     pair_potential_full,
     vdw_shift,
 )
+from rydgate.constants import COULOMB_C0, E_CHARGE, M_TO_UM, joule_to_rad_us
 from rydgate.dressing import D1_DEFAULT
 from rydgate.errors import DomainError, WeakDriveWarning
 from rydgate.interactions import exchange_coupling
@@ -34,6 +35,35 @@ def kron_pair_hamiltonian(drive, r0):
     h[1, 2] += g
     h[2, 1] += g
     return h
+
+
+def test_array_calls_have_the_bits_of_scalar_python_powers():
+    # the per-point loops on Python floats they replace, the exchange in its
+    # C0 d1^2 / (2 q^2 R0^3) order; array ** differs in about 5% of these
+    r0s = np.linspace(2.0, 10.0, 10001)
+    c6, c3, d1 = TWO_PI * 300.0, TWO_PI * 309.0, D1_DEFAULT
+    points = r0s.tolist()
+    for got, want in (
+            (vdw_shift(c6, r0s), [c6 / r**6 for r in points]),
+            (dd_shift(c3, r0s), [c3 / r**3 for r in points]),
+            (exchange_coupling(d1, r0s),
+             [joule_to_rad_us(COULOMB_C0 * (d1 / E_CHARGE) ** 2 / (2.0 * (r / M_TO_UM) ** 3))
+              for r in points])):
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    for value in (vdw_shift(c6, 5.0), dd_shift(c3, np.float64(5.0)), exchange_coupling(d1, 5.0)):
+        assert type(value) is float
+    with pytest.raises(DomainError, match="separation must be positive"):
+        dd_shift(c3, np.array([2.0, 0.0, 3.0]))
+
+
+def test_sweep_warns_up_to_its_first_bad_separation():
+    # as the call per separation would: the warnings before the bad one, then DomainError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", WeakDriveWarning)
+        with pytest.raises(DomainError, match="separation must be positive"):
+            pair_potential_full(reference_drive(), r0=np.array([1.0, 2.0, np.nan, 1.5]))
+    assert [str(w.message).partition(" at ")[2].partition(" um")[0] for w in caught] == [
+        "R0 = 1.0", "R0 = 2.0"]
 
 
 class TestVdw:
